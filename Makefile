@@ -89,11 +89,19 @@ watch-smoke: build
 # committed baseline exactly (the simulator is deterministic), with one
 # exception: summary.sim_wall_seconds is host wall clock, so it carries a
 # loose tolerance — wide enough not to flap on machine noise, tight enough
-# to catch an order-of-magnitude simulator-throughput regression. A
+# to catch an order-of-magnitude simulator-throughput regression. `diff`
+# flattens only each report's runs[]; the reports with no wall-clock field
+# are also compared byte for byte, which gates their top-level corun,
+# cluster and saturation arrays (way ranges, shadow hits, coherence
+# counts, schedule heads, saturation points). The fresh reports are build
+# outputs (gitignored); bench/baselines/ holds the one committed copy. A
 # legitimate perf or model change updates the snapshot in the same PR:
 #   cp BENCH_PR1.json FAULTS_SMOKE.json CORUN_SMOKE.json SERVE_SMOKE.json \
 #      BENCH_SERVE.json TIER_SMOKE.json CLUSTER_SMOKE.json WATCH_SMOKE.json \
 #      bench/baselines/
+EXACT_REPORTS = BENCH_SERVE.json CLUSTER_SMOKE.json CORUN_SMOKE.json \
+  FAULTS_SMOKE.json TIER_SMOKE.json WATCH_SMOKE.json
+
 diff-gate: smoke faults-smoke corun-smoke serve-smoke bench-serve tier-smoke cluster-smoke watch-smoke
 	dune exec bin/axmemo_cli.exe -- diff bench/baselines/BENCH_PR1.json BENCH_PR1.json \
 	  --tol "summary.sim_wall_seconds=3:0.5" --gate --quiet
@@ -105,6 +113,7 @@ diff-gate: smoke faults-smoke corun-smoke serve-smoke bench-serve tier-smoke clu
 	dune exec bin/axmemo_cli.exe -- diff bench/baselines/TIER_SMOKE.json TIER_SMOKE.json --gate --quiet
 	dune exec bin/axmemo_cli.exe -- diff bench/baselines/CLUSTER_SMOKE.json CLUSTER_SMOKE.json --gate --quiet
 	dune exec bin/axmemo_cli.exe -- diff bench/baselines/WATCH_SMOKE.json WATCH_SMOKE.json --gate --quiet
+	for f in $(EXACT_REPORTS); do cmp bench/baselines/$$f $$f || exit 1; done
 
 check: build test diff-gate
 

@@ -1024,10 +1024,11 @@ let faults_exp () =
 (* ------------------------------------------------------------------ *)
 
 (* Multi-core co-run: a mixed request stream over cores sharing one L2 LUT
-   carved from the LLC, swept over core count x partitioning policy. Checks
-   the subsystem's headline claims — throughput scales with cores, the
-   shared LUT stays coherent without a protocol, and partitioning changes
-   where the ways go without breaking determinism — then writes
+   carved from the LLC (a 1-node cluster), swept over core count x
+   partitioning policy. Checks the subsystem's headline claims —
+   throughput scales with cores, the shared LUT stays coherent without a
+   protocol, and partitioning changes where the ways go without breaking
+   determinism — then writes
    BENCH_CORUN.json (cluster-level registries only, so the report stays
    small no matter how long the streams were). *)
 let corun_mix = [ "fft"; "sobel" ]
@@ -1044,34 +1045,39 @@ let corun_exp () =
         List.map
           (fun partition ->
             {
-              Corun.default with
-              ncores;
-              partition;
-              workloads = corun_mix;
-              requests = 8;
-              variant = Workload.Eval;
+              Cluster.default with
+              nodes = 1;
+              node =
+                {
+                  Corun.default with
+                  ncores;
+                  partition;
+                  workloads = corun_mix;
+                  requests = 8;
+                  variant = Workload.Eval;
+                };
             })
           partitions)
       [ 1; 2; 4 ]
   in
-  let outcomes = Corun.run_matrix ~jobs:(jobs ()) cfgs in
+  let outcomes = Cluster.run_matrix ~jobs:(jobs ()) cfgs in
   let header =
     [ "cores"; "partition"; "makespan"; "thrpt/s"; "speedup"; "hit"; "fair";
       "cont"; "repart"; "divergent" ]
   in
   let rows =
     List.map
-      (fun (o : Corun.outcome) ->
+      (fun (o : Cluster.outcome) ->
         [
-          string_of_int o.cfg.Corun.ncores;
-          Shared_lut.partition_name o.cfg.Corun.partition;
+          string_of_int o.cfg.node.Corun.ncores;
+          Shared_lut.partition_name o.cfg.node.Corun.partition;
           string_of_int o.makespan_cycles;
           Printf.sprintf "%.0f" o.throughput_rps;
           Table.fmt_x o.speedup;
           Table.fmt_pct o.aggregate_hit_rate;
           Printf.sprintf "%.3f" o.fairness;
-          string_of_int o.contention_cycles;
-          string_of_int o.repartitions;
+          string_of_int o.bank_stall_cycles;
+          string_of_int o.node_summaries.(0).Cluster.repartitions;
           Printf.sprintf "%d/%d" o.coherence_divergent o.coherence_keys;
         ])
       outcomes
@@ -1082,8 +1088,8 @@ let corun_exp () =
     ~header rows;
   let of_cores n =
     List.find
-      (fun (o : Corun.outcome) ->
-        o.cfg.Corun.ncores = n && o.cfg.Corun.partition = Shared_lut.Free_for_all)
+      (fun (o : Cluster.outcome) ->
+        o.cfg.node.Corun.ncores = n && o.cfg.node.Corun.partition = Shared_lut.Free_for_all)
       outcomes
   in
   let t1 = (of_cores 1).throughput_rps and t4 = (of_cores 4).throughput_rps in
@@ -1092,9 +1098,9 @@ let corun_exp () =
      diverge across LUT levels in the whole matrix\n"
     (t1 |> fun t1 -> if t1 = 0.0 then 0.0 else t4 /. t1)
     (List.fold_left
-       (fun a (o : Corun.outcome) -> a + o.coherence_divergent)
+       (fun a (o : Cluster.outcome) -> a + o.coherence_divergent)
        0 outcomes);
-  Corun.write_report ~per_core:false "BENCH_CORUN.json" outcomes;
+  Cluster.write_corun_report ~per_core:false "BENCH_CORUN.json" outcomes;
   Printf.printf "wrote BENCH_CORUN.json\n"
 
 (* ------------------------------------------------------------------ *)
@@ -1239,15 +1245,16 @@ let tier_serve warm_start =
 let tier_exp () =
   heading "Tier: DRAM L3 spill path and warm-restart snapshots";
   let snapshot_file = "TIER_SNAPSHOT.axs" in
-  let warm_outcome, warmed = Corun.run_keep tier_cluster in
-  (match warm_outcome.Corun.l3 with
+  let warm_outcome, warmed =
+    Cluster.run_keep { Cluster.default with nodes = 1; node = tier_cluster }
+  in
+  (match warm_outcome.node_summaries.(0).Cluster.l3 with
   | None -> ()
-  | Some s ->
+  | Some { Cluster.stats = s; occupancy; capacity } ->
       Printf.printf
         "closed warm-up: %d spills into L3, %d/%d probes hit, occupancy %d/%d\n"
-        s.Corun.l3_spills s.Corun.l3_tier_hits s.Corun.l3_probes
-        s.Corun.l3_occupancy s.Corun.l3_capacity);
-  let snap = Corun.capture_snapshot warmed in
+        s.Axmemo_tier.Dram_lut.inserts s.hits s.probes occupancy capacity);
+  let snap = Corun.capture_snapshot (Cluster.node_cluster warmed ~node:0) in
   Axmemo_tier.Snapshot.save snap snapshot_file;
   Printf.printf "wrote %s (%d sections, %d entries)\n" snapshot_file
     (List.length snap.Axmemo_tier.Snapshot.sections)

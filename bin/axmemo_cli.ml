@@ -550,6 +550,7 @@ let faults_cmd =
 
 module Shared_lut = Axmemo_multicore.Shared_lut
 module Corun = Axmemo_multicore.Corun
+module Cluster = Axmemo_cluster.Cluster
 
 let partition_conv =
   Arg.conv
@@ -660,28 +661,34 @@ let corun_cmd =
           })
         fault_rate
     in
+    (* A co-run is a 1-node cluster. *)
     let cfgs =
       List.concat_map
         (fun ncores ->
           List.map
             (fun partition ->
               {
-                Corun.default with
-                ncores;
-                partition;
-                banks;
-                ports;
-                workloads = benches;
-                requests;
-                variant = variant_of sample;
-                faults;
-                l3;
+                Cluster.default with
+                nodes = 1;
+                node =
+                  {
+                    Corun.default with
+                    ncores;
+                    partition;
+                    banks;
+                    ports;
+                    workloads = benches;
+                    requests;
+                    variant = variant_of sample;
+                    faults;
+                    l3;
+                  };
               })
             partitions)
         cores
     in
     let outcomes =
-      try Corun.run_matrix ?jobs ~profile cfgs
+      try Cluster.run_matrix ?jobs ~profile cfgs
       with Invalid_argument msg -> die "%s" msg
     in
     if not quiet then begin
@@ -691,17 +698,17 @@ let corun_cmd =
       in
       let rows =
         List.map
-          (fun (o : Corun.outcome) ->
+          (fun (o : Cluster.outcome) ->
             [
-              string_of_int o.cfg.Corun.ncores;
-              Shared_lut.partition_name o.cfg.Corun.partition;
+              string_of_int o.cfg.node.Corun.ncores;
+              Shared_lut.partition_name o.cfg.node.Corun.partition;
               string_of_int o.makespan_cycles;
               Printf.sprintf "%.0f" o.throughput_rps;
               Table.fmt_x o.speedup;
               Table.fmt_pct o.aggregate_hit_rate;
               Printf.sprintf "%.3f" o.fairness;
-              string_of_int o.contention_cycles;
-              string_of_int o.repartitions;
+              string_of_int o.bank_stall_cycles;
+              string_of_int o.node_summaries.(0).Cluster.repartitions;
             ])
           outcomes
       in
@@ -711,17 +718,17 @@ let corun_cmd =
     end;
     if profile && not quiet then
       List.iter
-        (fun (o : Corun.outcome) ->
-          match o.Corun.profiles with
+        (fun (o : Cluster.outcome) ->
+          match o.profiles with
           | Some ps ->
               Printf.printf "\n%s — merged attribution profile:\n"
-                (Corun.label o.Corun.cfg);
+                (Corun.label o.cfg.node);
               print_string (Profile.render (Profile.merge (Array.to_list ps)))
           | None -> ())
         outcomes;
-    Option.iter (fun path -> Corun.write_report path outcomes) metrics;
+    Option.iter (fun path -> Cluster.write_corun_report path outcomes) metrics;
     Option.iter
-      (fun path -> Report.write_csv path (Corun.report_runs outcomes))
+      (fun path -> Report.write_csv path (Cluster.corun_report_runs outcomes))
       csv
   in
   Cmd.v (Cmd.info "corun" ~doc)
@@ -1059,8 +1066,6 @@ let serve_cmd =
 
 (* ---- cluster: sharded multi-node scale-out ---------------------------- *)
 
-module Cluster = Axmemo_cluster.Cluster
-
 let cluster_nodes_arg =
   Arg.(
     value
@@ -1280,10 +1285,11 @@ let snapshot_cmd =
           l3 = l3_config_of l3_mb;
         }
       in
+      (* Node 0's capture keeps the plain l1.<c>/l2/l3 section names. *)
       let snap =
         try
-          let _outcome, cluster = Corun.run_keep cfg in
-          Corun.capture_snapshot cluster
+          let _outcome, t = Cluster.run_keep { Cluster.default with nodes = 1; node = cfg } in
+          Corun.capture_snapshot (Cluster.node_cluster t ~node:0)
         with Invalid_argument msg -> die "%s" msg
       in
       (try Tier_snapshot.save snap file

@@ -18,8 +18,10 @@
    message's service time); synchronous remote probes additionally charge
    2 x hops x net_msg_cycles per probe, accumulated per core and folded
    into finish times at settlement exactly like arbitration stalls — so
-   per-request cycle results stay bit-identical to the node-local model,
-   and a 1-node cluster reproduces Corun.run outcome for outcome. *)
+   per-request cycle results stay bit-identical to the node-local model.
+   This is the one engine that drives request streams: a 1-node cluster
+   installs neither hook and is the co-run, whose report keeps its own
+   layout (the co-run renderer below). *)
 
 module Corun = Axmemo_multicore.Corun
 module Shared_lut = Axmemo_multicore.Shared_lut
@@ -27,6 +29,7 @@ module Arbiter = Axmemo_multicore.Arbiter
 module Schedule = Axmemo_multicore.Schedule
 module Memo_unit = Axmemo_memo.Memo_unit
 module Model = Axmemo_energy.Model
+module Injector = Axmemo_faults.Injector
 module Workloads = Axmemo_workloads.Registry
 module Registry = Axmemo_telemetry.Registry
 module Report = Axmemo_telemetry.Report
@@ -497,8 +500,8 @@ let settle t =
         + net.Arbiter.stall_cycles.(g)
         + t.st.net_latency.(g))
   in
-  (* Settled stalls flow back to (core, region) on the collectors, exactly
-     as Corun.run does for its single arbiter. *)
+  (* Settled stalls flow back to (core, region) on the collectors through
+     the tag each access was recorded with. *)
   Array.iteri
     (fun nid s ->
       match Corun.collectors t.nodes.(nid) with
@@ -679,6 +682,23 @@ type core_summary = {
   hit_rate : float;
   baseline_cycles : int;
   speedup : float;
+  retried : int;  (* bank-arbiter re-issues *)
+  way_range : int * int;  (* final shared-LUT allocation on its node *)
+  shadow_hits : int;
+}
+
+(* End-of-run DRAM tier aggregate of one node. *)
+type l3_summary = { stats : Dram_lut.stats; occupancy : int; capacity : int }
+
+(* The node-level facts only the co-run layout prints. *)
+type node_summary = {
+  bank_accesses : int;  (* shared-LUT accesses through the bank arbiter *)
+  bank_contended : int;
+  contention_pj : float;  (* re-issued probes at the L2 access energy *)
+  repartitions : int;
+  shared_occupancy : int;
+  l3 : l3_summary option;  (* None unless the node carries a DRAM tier *)
+  faults : Injector.stats option;
 }
 
 type outcome = {
@@ -702,7 +722,7 @@ type outcome = {
   inv_events : int;
   inv_sent : int;
   inv_filtered : int;
-  inv_broadcast_equivalent : int;  (* events * (nodes - 1) *)
+  inv_broadcast_equivalent : int;  (* events * (nodes * cores_per_node - 1) *)
   net_messages : int;
   net_hops : int;
   net_pj : float;  (* hops * net_hop_pj; reported beside, never inside, total_pj *)
@@ -717,6 +737,7 @@ type outcome = {
   restore_serial : int;
   replica_batch_amortised : int;
   replica_batch_serial : int;
+  node_summaries : node_summary array;
   snapshots : (string * Registry.snapshot) list;
   profiles : Profile.snapshot array option;  (* per global core *)
   messages : msg list;  (* send order, for the trace *)
@@ -754,6 +775,9 @@ let coherence_check t =
           ( keys + 1,
             if List.for_all (fun q -> q = p) rest then divergent else divergent + 1 ))
     tbl (0, 0)
+
+let l3_summary d =
+  { stats = Dram_lut.stats d; occupancy = Dram_lut.occupancy d; capacity = Dram_lut.capacity_entries d }
 
 let run_keep ?(metrics = false) ?(profile = false) (cfg : config) =
   let t = create ~metrics ~profile cfg in
@@ -808,6 +832,7 @@ let run_keep ?(metrics = false) ?(profile = false) (cfg : config) =
         in
         let busy_cycles = busy.(g) in
         let finish_cycles = busy_cycles + settlement.stalls.(g) in
+        let shared = Corun.shared_lut t.nodes.(nid) in
         {
           gcore = g;
           node = nid;
@@ -825,6 +850,9 @@ let run_keep ?(metrics = false) ?(profile = false) (cfg : config) =
           speedup =
             (if baseline_cycles = 0 && finish_cycles = 0 then 1.0
              else float_of_int baseline_cycles /. float_of_int (max 1 finish_cycles));
+          retried = settlement.bank.(nid).Arbiter.retried.(core);
+          way_range = Shared_lut.way_range shared ~core;
+          shadow_hits = (Shared_lut.shadow_hits shared).(core);
         })
   in
   let makespan_cycles = Array.fold_left (fun a c -> max a c.finish_cycles) 0 cores in
@@ -833,6 +861,24 @@ let run_keep ?(metrics = false) ?(profile = false) (cfg : config) =
   let total_baseline = Array.fold_left (fun a c -> a + c.baseline_cycles) 0 cores in
   let keys, divergent = coherence_check t in
   flush_metrics t;
+  let node_summaries =
+    Array.mapi
+      (fun nid nd ->
+        let bank = settlement.bank.(nid) in
+        let shared = Corun.shared_lut nd in
+        {
+          bank_accesses = bank.Arbiter.accesses;
+          bank_contended = bank.Arbiter.contended;
+          contention_pj =
+            float_of_int bank.Arbiter.contended
+            *. Model.default_constants.Model.l2_access_pj;
+          repartitions = Shared_lut.repartitions shared;
+          shared_occupancy = Shared_lut.occupancy shared;
+          l3 = Option.map l3_summary (Corun.dram_lut nd);
+          faults = Corun.fault_stats nd;
+        })
+      t.nodes
+  in
   ( {
       cfg;
       requests;
@@ -881,6 +927,7 @@ let run_keep ?(metrics = false) ?(profile = false) (cfg : config) =
       restore_serial = t.st.restore_serial;
       replica_batch_amortised = t.st.replica_batch_amortised;
       replica_batch_serial = t.st.replica_batch_serial;
+      node_summaries;
       snapshots = snapshots t;
       profiles =
         (if profile then
@@ -1064,7 +1111,7 @@ let outcome_json o =
         Json.Int (max 0 (List.length o.requests - schedule_head_rows)) );
     ]
 
-let default_series_cap = Corun.default_series_cap
+let default_series_cap = 32
 
 (* One report row per outcome: per-node registries are merged into the row
    with an n<j>. name prefix (names stay disjoint, so the re-sorted union
@@ -1105,18 +1152,184 @@ let report_runs ?(series_cap = default_series_cap) outcomes =
       })
     outcomes
 
+(* Either layout: the run rows, the root seed, and one [key] array entry
+   per outcome. *)
+let make_report ~key outcome_json runs outcomes =
+  Report.make
+    ~extra:
+      [
+        ("root_seed", Json.Str (Int64.to_string (Rng.root_seed ())));
+        (key, Json.Arr (List.map outcome_json outcomes));
+      ]
+    runs
+
 let report ?series_cap outcomes =
-  let runs = report_runs ?series_cap outcomes in
-  let extra =
-    [
-      ("root_seed", Json.Str (Int64.to_string (Rng.root_seed ())));
-      ("cluster", Json.Arr (List.map outcome_json outcomes));
-    ]
-  in
-  Report.make ~extra runs
+  make_report ~key:"cluster" outcome_json (report_runs ?series_cap outcomes) outcomes
 
 let write_report ?series_cap path outcomes =
   Json.write_file ~indent:2 path (report ?series_cap outcomes)
+
+(* ---- the co-run layout ---------------------------------------------------
+
+   A 1-node cluster is the co-run, and its report keeps the co-run's own
+   layout: the node's config and arbitration/partitioning facts, per-core
+   way ranges and shadow hits, and one run row per registry under the
+   node's own names (core<i>, cluster) rather than the n0. prefix. *)
+
+let the_node o =
+  if o.cfg.nodes <> 1 then
+    invalid_arg
+      (Printf.sprintf "Cluster: the co-run layout renders 1-node outcomes (got %d nodes)"
+         o.cfg.nodes);
+  o.node_summaries.(0)
+
+let corun_core_json (c : core_summary) =
+  let lo, hi = c.way_range in
+  Json.Obj
+    [
+      ("core", Json.Int c.core);
+      ("served", Json.Int c.served);
+      ("busy_cycles", Json.Int c.busy_cycles);
+      ("contention_cycles", Json.Int c.bank_stall_cycles);
+      ("retried", Json.Int c.retried);
+      ("finish_cycles", Json.Int c.finish_cycles);
+      ("lookups", Json.Int c.lookups);
+      ("hits", Json.Int c.hits);
+      ("hit_rate", Json.Float c.hit_rate);
+      ("baseline_cycles", Json.Int c.baseline_cycles);
+      ("speedup", Json.Float c.speedup);
+      ("way_lo", Json.Int lo);
+      ("way_hi", Json.Int hi);
+      ("shadow_hits", Json.Int c.shadow_hits);
+    ]
+
+let corun_outcome_json o =
+  let n = the_node o in
+  let cfg = o.cfg.node in
+  let head = List.filteri (fun i _ -> i < schedule_head_rows) o.requests in
+  (* The "l3" block appears only for tier-configured runs. *)
+  let l3_fields =
+    match n.l3 with
+    | None -> []
+    | Some { stats = s; occupancy; capacity } ->
+        [
+          ( "l3",
+            Json.Obj
+              [
+                ("probes", Json.Int s.Dram_lut.probes);
+                ("hits", Json.Int s.Dram_lut.hits);
+                ("misses", Json.Int s.Dram_lut.misses);
+                ("spills", Json.Int s.Dram_lut.inserts);
+                ("evictions", Json.Int s.Dram_lut.evictions);
+                ("row_activations", Json.Int s.Dram_lut.row_activations);
+                ("row_hits", Json.Int s.Dram_lut.row_hits);
+                ("corrupted_reads", Json.Int s.Dram_lut.corrupted_reads);
+                ("occupancy", Json.Int occupancy);
+                ("capacity", Json.Int capacity);
+              ] );
+        ]
+  in
+  Json.Obj
+    ([
+       ("label", Json.Str (Corun.label cfg));
+       ("ncores", Json.Int cfg.Corun.ncores);
+       ("partition", Json.Str (Shared_lut.partition_name cfg.Corun.partition));
+       ("l1_bytes", Json.Int cfg.Corun.l1_bytes);
+       ("shared_l2_bytes", Json.Int cfg.Corun.shared_l2_bytes);
+       ("banks", Json.Int cfg.Corun.banks);
+       ("ports", Json.Int cfg.Corun.ports);
+       ("workloads", Json.Arr (List.map (fun w -> Json.Str w) cfg.Corun.workloads));
+       ("requests", Json.Int cfg.Corun.requests);
+       ("makespan_cycles", Json.Int o.makespan_cycles);
+       ("throughput_rps", Json.Float o.throughput_rps);
+       ("speedup", Json.Float o.speedup);
+       ("aggregate_hit_rate", Json.Float o.aggregate_hit_rate);
+       ("fairness", Json.Float o.fairness);
+       ("shared_accesses", Json.Int n.bank_accesses);
+       ("contended_accesses", Json.Int n.bank_contended);
+       ("contention_cycles", Json.Int o.bank_stall_cycles);
+       ("contention_pj", Json.Float n.contention_pj);
+       ("repartitions", Json.Int n.repartitions);
+       ("shared_occupancy", Json.Int n.shared_occupancy);
+       ("coherence_keys", Json.Int o.coherence_keys);
+       ("coherence_divergent", Json.Int o.coherence_divergent);
+       ("cores", Json.Arr (Array.to_list (Array.map corun_core_json o.cores)));
+       ( "schedule_head",
+         Json.Arr
+           (List.map
+              (fun r ->
+                Json.Str
+                  (Printf.sprintf "r%d %s core%d [%d..%d] hit=%.3f" r.rid r.workload
+                     r.gcore r.start r.finish r.result.Runner.hit_rate))
+              head) );
+       ( "schedule_rows_omitted",
+         Json.Int (max 0 (List.length o.requests - schedule_head_rows)) );
+       ( "faults",
+         match n.faults with
+         | None -> Json.Null
+         | Some s ->
+             Json.Obj
+               [
+                 ("injected", Json.Int s.Injector.injected_total);
+                 ("sdc_hits", Json.Int s.Injector.sdc_hits);
+                 ("parity_detected", Json.Int s.Injector.parity_detected);
+                 ("secded_corrected", Json.Int s.Injector.secded_corrected);
+                 ("secded_detected", Json.Int s.Injector.secded_detected);
+                 ("tag_aliases", Json.Int s.Injector.tag_aliases);
+               ] );
+     ]
+    @ l3_fields)
+
+(* The "cluster" row carries the merged (all-cores) profile; each "core<i>"
+   row carries its own. Merging per-core snapshots in core order is a
+   pointwise sum, so the report is byte-identical for any [--jobs]. *)
+let corun_profile_json o who =
+  match o.profiles with
+  | None -> None
+  | Some ps -> (
+      if who = "cluster" then Some (Profile.to_json (Profile.merge (Array.to_list ps)))
+      else
+        match Option.bind (strip_prefix ~prefix:"core" who) int_of_string_opt with
+        | Some i when i >= 0 && i < Array.length ps -> Some (Profile.to_json ps.(i))
+        | _ -> None)
+
+let corun_report_runs ?(series_cap = default_series_cap) ?(per_core = true) outcomes =
+  List.concat_map
+    (fun o ->
+      ignore (the_node o);
+      List.filter_map
+        (fun (who, snap) ->
+          match strip_prefix ~prefix:"n0." who with
+          | Some who when per_core || who = "cluster" ->
+              Some
+                {
+                  Report.benchmark = String.concat "+" o.cfg.node.Corun.workloads;
+                  config = Printf.sprintf "%s:%s" (Corun.label o.cfg.node) who;
+                  summary =
+                    [
+                      ("makespan_cycles", Json.Int o.makespan_cycles);
+                      ("throughput_rps", Json.Float o.throughput_rps);
+                      ("aggregate_hit_rate", Json.Float o.aggregate_hit_rate);
+                      ("fairness", Json.Float o.fairness);
+                    ];
+                  metrics = Registry.decimate ~cap:series_cap snap;
+                  profile = corun_profile_json o who;
+                  service = None;
+                  cluster = None;
+                  timeline = None;
+                  alerts = None;
+                }
+          | _ -> None)
+        o.snapshots)
+    outcomes
+
+let corun_report ?series_cap ?per_core outcomes =
+  make_report ~key:"corun" corun_outcome_json
+    (corun_report_runs ?series_cap ?per_core outcomes)
+    outcomes
+
+let write_corun_report ?series_cap ?per_core path outcomes =
+  Json.write_file ~indent:2 path (corun_report ?series_cap ?per_core outcomes)
 
 (* ---- the message trace --------------------------------------------------
 

@@ -17,9 +17,16 @@
     synchronous remote probes additionally charge round-trip latency into
     the issuing core's finish time at settlement — so request execution
     stays serial and deterministic, reports are byte-identical for any
-    [--jobs] setting, and a 1-node cluster is the {!Corun} model verbatim
-    (neither hook is installed). Network energy is reported beside, never
-    inside, [total_pj], mirroring the DRAM-tier convention. *)
+    [--jobs] setting. Network energy is reported beside, never inside,
+    [total_pj], mirroring the DRAM-tier convention.
+
+    This is the one engine that drives request streams — closed ones
+    through {!run}, open-loop ones through the serve layer's calls to
+    {!create}, {!exec_request} and {!settle}. Each node is a
+    {!Corun.cluster}; a 1-node cluster installs neither the routing port
+    nor the directory hook, so it is the co-run, and its report keeps the
+    co-run layout ({!corun_report}). A 1-core, 1-node free-for-all run of
+    a single workload reproduces [Runner.run (Hw_memo ...)] bit for bit. *)
 
 module Corun = Axmemo_multicore.Corun
 
@@ -170,7 +177,30 @@ type core_summary = {
   hit_rate : float;
   baseline_cycles : int;
   speedup : float;
+  retried : int;  (** bank-arbiter re-issues *)
+  way_range : int * int;  (** final shared-LUT allocation on its node *)
+  shadow_hits : int;
 }
+
+type l3_summary = {
+  stats : Axmemo_tier.Dram_lut.stats;
+      (** [inserts] are the shared-level victims absorbed (spills) *)
+  occupancy : int;
+  capacity : int;
+}
+(** One node's end-of-run DRAM tier aggregate. *)
+
+type node_summary = {
+  bank_accesses : int;  (** shared-LUT accesses through the bank arbiter *)
+  bank_contended : int;
+  contention_pj : float;  (** re-issued probes at the L2 access energy *)
+  repartitions : int;
+  shared_occupancy : int;
+  l3 : l3_summary option;  (** [None] unless the node carries a DRAM tier *)
+  faults : Axmemo_faults.Injector.stats option;
+      (** [None] unless the config asked for faults *)
+}
+(** The node-level facts the co-run layout prints. *)
 
 type outcome = {
   cfg : config;
@@ -215,6 +245,7 @@ type outcome = {
   restore_serial : int;  (** an entry-at-a-time replay's cost *)
   replica_batch_amortised : int;  (** same accounting, replica L3 copies *)
   replica_batch_serial : int;
+  node_summaries : node_summary array;  (** node order *)
   snapshots : (string * Axmemo_telemetry.Registry.snapshot) list;
   profiles : Axmemo_obs.Profile.snapshot array option;  (** per global core *)
   messages : msg list;  (** send order, for the trace *)
@@ -232,7 +263,19 @@ and msg = {
 and msg_kind = Probe | Insert | Inv_lut | Inv_replica
 
 val run_keep : ?metrics:bool -> ?profile:bool -> config -> outcome * t
+(** {!run}, but also hands back the cluster with its warm end-of-run LUT
+    state — the closed-stream warmer behind [axmemo snapshot save]
+    ({!Corun.capture_snapshot} of {!node_cluster} 0 keeps the plain
+    single-node section names). *)
+
 val run : ?metrics:bool -> ?profile:bool -> config -> outcome
+(** Simulates one closed request stream: places the requests with
+    {!Axmemo_multicore.Schedule.dispatch}, executes them one at a time,
+    settles bank and interconnect arbitration, and measures coherence
+    divergence across the SRAM LUT levels. Baseline cycles come from a
+    fresh un-memoized [Runner.run Baseline] per workload. With
+    [~profile:true] each core carries an {!Axmemo_obs.Profile} collector;
+    all scheduling and cycle results are bit-identical either way. *)
 
 val run_matrix : ?jobs:int -> ?profile:bool -> config list -> outcome list
 (** Each cell with [~metrics:true]; byte-identical for any [?jobs]. *)
@@ -252,6 +295,35 @@ val report : ?series_cap:int -> outcome list -> Axmemo_util.Json.t
     ["cluster"] array (cores, schedule head, message accounting). *)
 
 val write_report : ?series_cap:int -> string -> outcome list -> unit
+
+(** {2 The co-run layout}
+
+    A second renderer over the same outcomes, for 1-node clusters: the
+    layout [axmemo corun] and the bench [corun] experiment write. Each
+    raises [Invalid_argument] on an outcome with more than one node. *)
+
+val corun_report_runs :
+  ?series_cap:int ->
+  ?per_core:bool ->
+  outcome list ->
+  Axmemo_telemetry.Report.run list
+(** One row per registry, under the node's own names: [<label>:core<i>]
+    and [<label>:cluster], where the label is {!Corun.label} of the node
+    config. Series are decimated to [series_cap]. [~per_core:false] keeps
+    only the [cluster] rows, so a big matrix can ship a small report. With
+    profiles, each [core<i>] row embeds that core's ["profile"] section
+    and the [cluster] row the {!Axmemo_obs.Profile.merge} of all of them. *)
+
+val corun_report :
+  ?series_cap:int -> ?per_core:bool -> outcome list -> Axmemo_util.Json.t
+(** Schema-v1 report over {!corun_report_runs}; extra fields: [root_seed]
+    and the per-outcome ["corun"] array — node config, aggregates, bank
+    arbitration and repartitioning, occupancy, coherence counts, per-core
+    way ranges and shadow hits, the schedule head, fault stats and (only
+    for tier-configured runs) the ["l3"] block. *)
+
+val write_corun_report :
+  ?series_cap:int -> ?per_core:bool -> string -> outcome list -> unit
 
 val trace : outcome -> Axmemo_telemetry.Tracer.t
 (** Chrome-trace with one row per node's NIC: each message is a span from

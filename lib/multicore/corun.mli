@@ -1,17 +1,15 @@
-(** The N-core co-run simulator.
+(** One co-run node: the N-core group the sharded cluster composes.
 
     Each core owns a private pipeline, data-cache hierarchy, hash/value
     registers and L1 LUT (all reused from the single-core model); every
     core's L2-level memoization traffic goes to one {!Shared_lut} carved
     from the shared LLC, with bank/port contention charged by an
-    {!Arbiter} and requests placed by {!Schedule}. A fixed request stream
-    keeps the LUTs warm across requests, which is where the co-run
-    throughput of the paper's Section 6 comes from.
-
-    Determinism contract: with a fixed root seed, [run] and [run_matrix]
-    are pure functions of their configuration — reports are byte-identical
-    for any [--jobs] setting, and a 1-core free-for-all co-run of a single
-    workload reproduces [Runner.run (Hw_memo ...)] bit for bit. *)
+    {!Arbiter}. The node runs no request stream of its own:
+    [Axmemo_cluster.Cluster] places requests with {!Schedule}, executes
+    them one at a time through {!exec_request}, settles the arbiter and
+    reports. A 1-node cluster is the co-run of the paper's Section 6, and a
+    1-core free-for-all co-run of a single workload reproduces
+    [Runner.run (Hw_memo ...)] bit for bit. *)
 
 type config = {
   ncores : int;
@@ -47,10 +45,7 @@ val label : config -> string
 (** Appends [",l3=<n>KB"] only when the tier is configured, so tier-less
     labels (and everything keyed off them) are unchanged. *)
 
-(** {1 The cluster}
-
-    Exposed mainly for tests that need to poke a core's memoization hooks
-    directly. *)
+(** {1 The node} *)
 
 type cluster
 
@@ -111,12 +106,18 @@ val monitor_observed : cluster -> int * int * int
     service windows. *)
 
 val invalidations_sent : cluster -> int
-(** Total invalidation broadcasts delivered to per-core units so far
-    (each store-triggered broadcast counts once per core that received
-    it). Monotone; used by the timeline sampler. *)
+(** Retired [invalidate] instructions so far, summed over the cores. Each
+    one counts once, on the issuing core's unit: the broadcast to the
+    peers' L1s ({!memo_hooks}) does not count again on the receivers, so
+    a 1-core and a 2-core node retiring the same invalidates report the
+    same total. Monotone; the 1-node timeline sampler's [inv_sent]. *)
 
 val dram_lut : cluster -> Axmemo_tier.Dram_lut.t option
 (** The cluster's DRAM tier, when the config asked for one. *)
+
+val fault_stats : cluster -> Axmemo_faults.Injector.stats option
+(** The shared-LUT fault injector's totals, when the config asked for
+    faults. *)
 
 val capture_snapshot : cluster -> Axmemo_tier.Snapshot.t
 (** Serialize every LUT level's warm contents: sections ["l1.<core>"] per
@@ -140,20 +141,17 @@ val restore_snapshot_stats : cluster -> Axmemo_tier.Snapshot.t -> int * int * in
     row-sorted fill cost vs an entry-at-a-time replay. Both are 0 when the
     snapshot has no [l3] section or no tier is attached. *)
 
-(** {2 Serve-layer access}
+(** {2 Driver access}
 
-    The open-loop service model ({!Axmemo_serve.Serve}) drives a cluster
-    request by request through its own dispatcher, so per-request
-    execution, arbitration settlement and the metric flush/snapshot step
-    are exposed individually. [run] below composes exactly these. *)
+    What a request-stream driver composes: per-request execution,
+    arbitration settlement and the metric flush/snapshot step. *)
 
 val exec_request :
   cluster -> workload:string -> core:int -> start:int -> Axmemo.Runner.result
 (** Execute one invocation of [workload] on [core] with the core's cycle
-    base set to [start] — the per-request step of [run], exposed for
-    open-loop dispatchers. LUT/cache warm state carries over between calls
-    exactly as inside [run]; callers must issue requests in their
-    dispatcher's canonical order for results to stay deterministic.
+    base set to [start]. LUT/cache warm state carries over between calls;
+    callers must issue requests in their dispatcher's canonical order for
+    results to stay deterministic.
     @raise Invalid_argument when [workload] is not in the cluster's mix. *)
 
 val settle_arbiter : cluster -> Arbiter.settlement
@@ -167,122 +165,3 @@ val flush_metrics : cluster -> unit
 val cluster_snapshots : cluster -> (string * Axmemo_telemetry.Registry.snapshot) list
 (** The ["core<i>"] and ["cluster"] registry snapshots (empty list unless
     the cluster was created with [~metrics:true]). *)
-
-(** {1 Running} *)
-
-type request_run = {
-  rid : int;
-  workload : string;
-  core : int;
-  start : int;
-  finish : int;
-  result : Axmemo.Runner.result;
-}
-
-type core_summary = {
-  core : int;
-  served : int;
-  busy_cycles : int;  (** execution only *)
-  contention_cycles : int;  (** arbitration stalls charged at settlement *)
-  retried : int;
-  finish_cycles : int;  (** busy + contention *)
-  lookups : int;
-  hits : int;
-  hit_rate : float;
-  baseline_cycles : int;  (** un-memoized single-core cost of its requests *)
-  speedup : float;  (** baseline over (busy + contention); always finite *)
-  way_range : int * int;  (** final shared-LUT allocation *)
-  shadow_hits : int;
-}
-
-type l3_summary = {
-  l3_probes : int;
-  l3_tier_hits : int;
-  l3_misses : int;
-  l3_spills : int;  (** shared-level victims absorbed (posted writes) *)
-  l3_evictions : int;
-  l3_row_activations : int;
-  l3_row_hits : int;
-  l3_corrupted_reads : int;  (** reads that exposed a decayed relaxed bit *)
-  l3_occupancy : int;
-  l3_capacity : int;
-}
-
-type outcome = {
-  cfg : config;
-  requests : request_run list;
-  cores : core_summary array;
-  makespan_cycles : int;
-  throughput_rps : float;  (** requests per simulated second *)
-  speedup : float;  (** sum of baselines over the makespan; always finite *)
-  aggregate_hit_rate : float;
-  fairness : float;  (** Jain's index over per-core finish cycles *)
-  shared_accesses : int;
-  contended_accesses : int;
-  contention_cycles : int;
-  contention_pj : float;  (** re-issued probes at the L2 access energy *)
-  repartitions : int;
-  shared_occupancy : int;
-  coherence_keys : int;
-      (** (lut, key) pairs simultaneously present in several structures *)
-  coherence_divergent : int;  (** of those, how many hold unequal payloads *)
-  l3 : l3_summary option;
-      (** DRAM tier aggregate; [None] unless the config asked for the tier.
-          The coherence counts above deliberately exclude the tier — its
-          relaxed payload cells are approximate by contract. *)
-  faults : Axmemo_faults.Injector.stats option;
-  snapshots : (string * Axmemo_telemetry.Registry.snapshot) list;
-      (** ["core<i>"] per-core registries, ["cluster"] the shared LUT's;
-          empty unless [run ~metrics:true] *)
-  profiles : Axmemo_obs.Profile.snapshot array option;
-      (** per-core attribution profiles (core order), with shared-LUT
-          arbitration stalls already charged back to each core's regions;
-          [None] unless [run ~profile:true]. Merge with
-          {!Axmemo_obs.Profile.merge} for the cluster view. *)
-}
-
-val run_keep : ?metrics:bool -> ?profile:bool -> config -> outcome * cluster
-(** [run], but also hands back the cluster with its warm end-of-run LUT
-    state — the closed-stream warmer behind [axmemo snapshot save]
-    ({!capture_snapshot} the returned cluster). *)
-
-val run : ?metrics:bool -> ?profile:bool -> config -> outcome
-(** Simulates one co-run: streams the requests, dispatches them with
-    {!Schedule.dispatch}, settles arbitration, and measures coherence
-    divergence across all LUT levels. Baseline cycles come from a fresh
-    un-memoized [Runner.run Baseline] per workload. With [~profile:true]
-    each core carries an {!Axmemo_obs.Profile} collector over the mix's
-    remapped region list; all scheduling and cycle results are
-    bit-identical either way. *)
-
-val run_matrix : ?jobs:int -> ?profile:bool -> config list -> outcome list
-(** Runs each configuration as one independent cell (with metrics) fanned
-    over a domain pool; results are in input order and byte-identical to a
-    serial run. *)
-
-(** {1 Reports} *)
-
-val default_series_cap : int
-
-val report_runs :
-  ?series_cap:int ->
-  ?per_core:bool ->
-  outcome list ->
-  Axmemo_telemetry.Report.run list
-(** The per-registry report rows ([core<i>] and [cluster] per outcome),
-    series decimated to [series_cap]; what {!report} embeds and what CSV
-    export flattens. [~per_core:false] keeps only the cluster registries —
-    per-core aggregates stay available in the outcome block, so a big
-    matrix can ship a small report. When the outcome carries profiles,
-    each [core<i>] row embeds that core's ["profile"] section and the
-    [cluster] row the {!Axmemo_obs.Profile.merge} of all of them. *)
-
-val report :
-  ?series_cap:int -> ?per_core:bool -> outcome list -> Axmemo_util.Json.t
-(** Bounded report: telemetry series are decimated to [series_cap] samples
-    ({!Axmemo_telemetry.Registry.decimate}) and only the head of each
-    schedule is listed row by row, so the file stays small no matter how
-    long the streams were. *)
-
-val write_report :
-  ?series_cap:int -> ?per_core:bool -> string -> outcome list -> unit

@@ -1,10 +1,10 @@
-(* Open-loop service model over the co-run cluster.
+(* Open-loop service model over the memoization cluster.
 
    One run: calibrate the mean per-request service time on a throwaway
-   1-core cluster, convert the offered load into an arrival rate, generate
-   the seeded arrival stream, and drive a fresh cluster through
-   Schedule.dispatch_open request by request — Corun.exec_request keeps the
-   LUTs warm across requests exactly as the closed co-run does. Everything
+   1-core node, convert the offered load into an arrival rate, generate
+   the seeded arrival stream, and drive a fresh Cluster through
+   Schedule.dispatch_open request by request — Cluster.exec_request keeps
+   the LUTs warm across requests exactly as a closed stream does. Everything
    downstream (latency histograms, SLO accounting, the Chrome trace, the
    "service" report section) is observational: per-request cycle results
    are bit-identical to what the same dispatch order produces without any
@@ -13,7 +13,6 @@
 module Schedule = Axmemo_multicore.Schedule
 module Corun = Axmemo_multicore.Corun
 module Shared_lut = Axmemo_multicore.Shared_lut
-module Arbiter = Axmemo_multicore.Arbiter
 module Cluster = Axmemo_cluster.Cluster
 module Registry = Axmemo_telemetry.Registry
 module Report = Axmemo_telemetry.Report
@@ -41,9 +40,9 @@ let default_watch = { window_cycles = 0; rules = Alert.default_rules }
 type config = {
   cluster : Corun.config;
   nodes : int;
-      (* service nodes; 1 drives a plain Corun cluster (the pre-cluster
-         code path, byte-identical reports), > 1 drives the sharded
-         multi-node cluster with cfg.cluster as the per-node shape *)
+      (* cluster nodes, each of shape cfg.cluster; one node keeps the
+         co-run's report rows (no "cluster" section, unprefixed registry
+         names) *)
   arrival : Arrival.kind;
   load : float;
       (* offered load as a fraction of cluster capacity: the arrival rate is
@@ -197,89 +196,6 @@ let hist_of snap name =
   | _ | (exception Not_found) ->
       invalid_arg (Printf.sprintf "Serve: no histogram %S in snapshot" name)
 
-(* ---- the execution engine ----------------------------------------------
-
-   What a run dispatches onto: the single-node co-run cluster, or the
-   sharded multi-node cluster when nodes > 1. Both expose the same
-   per-request step plus the post-hoc settlement/flush/snapshot sequence;
-   the single-node path is the pre-cluster machinery verbatim, so
-   cluster-less runs (and their committed baselines) stay byte-identical. *)
-
-type engine = {
-  eng_exec : workload:string -> core:int -> start:int -> Runner.result;
-  eng_settle : unit -> int array * int * int;
-      (* per-core settled stall cycles (bank arbitration, plus NIC
-         contention and synchronous remote-probe latency on the cluster),
-         shared accesses, contended accesses *)
-  eng_flush : unit -> unit;
-  eng_snapshots : unit -> (string * Registry.snapshot) list;
-  eng_restore : Axmemo_tier.Snapshot.t -> int;
-  eng_section : unit -> Json.t option;
-      (* the "cluster" report section; meaningful only after eng_settle *)
-  eng_probe : unit -> Timeline.traffic;
-      (* monotone cumulative traffic/quality counters; the watch sampler
-         diffs consecutive reads around each request *)
-}
-
-let corun_engine (cfg : config) =
-  let cluster = Corun.create_cluster ~metrics:true cfg.cluster in
-  {
-    eng_exec =
-      (fun ~workload ~core ~start -> Corun.exec_request cluster ~workload ~core ~start);
-    eng_settle =
-      (fun () ->
-        let s = Corun.settle_arbiter cluster in
-        (s.Arbiter.stall_cycles, s.Arbiter.accesses, s.Arbiter.contended));
-    eng_flush = (fun () -> Corun.flush_metrics cluster);
-    eng_snapshots = (fun () -> Corun.cluster_snapshots cluster);
-    eng_restore = Corun.restore_snapshot cluster;
-    eng_section = (fun () -> None);
-    eng_probe =
-      (fun () ->
-        let samples, bad, trips = Corun.monitor_observed cluster in
-        {
-          Timeline.remote_probes = 0;
-          inv_sent = Corun.invalidations_sent cluster;
-          net_messages = 0;
-          quality_samples = samples;
-          quality_bad = bad;
-          monitor_trips = trips;
-        });
-  }
-
-let cluster_engine (cfg : config) =
-  let t =
-    Cluster.create ~metrics:true
-      { Cluster.default with Cluster.nodes = cfg.nodes; node = cfg.cluster }
-  in
-  let settled = ref None in
-  {
-    eng_exec =
-      (fun ~workload ~core ~start -> Cluster.exec_request t ~workload ~gcore:core ~start);
-    eng_settle =
-      (fun () ->
-        let s = Cluster.settle t in
-        settled := Some s;
-        (s.Cluster.stalls, s.Cluster.shared_accesses, s.Cluster.contended_accesses));
-    eng_flush = (fun () -> Cluster.flush_metrics t);
-    eng_snapshots = (fun () -> Cluster.snapshots t);
-    eng_restore = Cluster.restore_snapshot t;
-    eng_section =
-      (fun () -> Option.map (fun s -> Cluster.section t ~settled:s) !settled);
-    eng_probe =
-      (fun () ->
-        let remote_probes, inv_sent, net_messages = Cluster.watch_traffic t in
-        let samples, bad, trips = Cluster.monitor_observed t in
-        {
-          Timeline.remote_probes;
-          inv_sent;
-          net_messages;
-          quality_samples = samples;
-          quality_bad = bad;
-          monitor_trips = trips;
-        });
-  }
-
 (* ---- the run ----------------------------------------------------------- *)
 
 let run (cfg : config) =
@@ -306,7 +222,10 @@ let run (cfg : config) =
     if cfg.slo_cycles > 0 then cfg.slo_cycles
     else int_of_float (slo_auto_factor *. mean_service)
   in
-  let engine = if cfg.nodes > 1 then cluster_engine cfg else corun_engine cfg in
+  let t =
+    Cluster.create ~metrics:true
+      { Cluster.default with Cluster.nodes = cfg.nodes; node = cfg.cluster }
+  in
   (* Warm restart: replay a saved snapshot into the fresh cluster before the
      first request. Snapshot problems surface as Invalid_argument so the CLI
      turns them into a one-line error and exit 1. *)
@@ -315,36 +234,53 @@ let run (cfg : config) =
     | None -> 0
     | Some path -> (
         match Axmemo_tier.Snapshot.load path with
-        | Ok snap -> engine.eng_restore snap
+        | Ok snap -> Cluster.restore_snapshot t snap
         | Error msg ->
             invalid_arg (Printf.sprintf "Serve.run: warm-start %s: %s" path msg))
   in
-  (* Traffic attribution for the watch sampler: cumulative engine counters
+  (* Traffic attribution for the watch sampler: cumulative counters
      bracketing each request's execution. Requests run one at a time, so
      the per-request delta is exact — and when watch is off no probe is
-     taken, leaving the execution path untouched. *)
+     taken, leaving the execution path untouched. On one node there are no
+     node messages, and inv_sent counts retired invalidates instead. *)
+  let probe () =
+    let remote_probes, inv_sent, net_messages =
+      if cfg.nodes > 1 then Cluster.watch_traffic t
+      else (0, Corun.invalidations_sent (Cluster.node_cluster t ~node:0), 0)
+    in
+    let samples, bad, trips = Cluster.monitor_observed t in
+    {
+      Timeline.remote_probes;
+      inv_sent;
+      net_messages;
+      quality_samples = samples;
+      quality_bad = bad;
+      monitor_trips = trips;
+    }
+  in
   let traffic_deltas = Hashtbl.create 64 in
   let watching = cfg.watch <> None in
   let placements, shed, busy =
     Schedule.dispatch_open ~ncores ~queue_capacity:cfg.queue_capacity
       ~shed:cfg.shed
       ~run:(fun r ~core ~start ->
-        let before = if watching then Some (engine.eng_probe ()) else None in
-        let res = engine.eng_exec ~workload:r.Schedule.workload ~core ~start in
+        let before = if watching then Some (probe ()) else None in
+        let res = Cluster.exec_request t ~workload:r.Schedule.workload ~gcore:core ~start in
         (match before with
         | Some b ->
             Hashtbl.replace traffic_deltas r.Schedule.rid
-              (Timeline.traffic_sub (engine.eng_probe ()) b)
+              (Timeline.traffic_sub (probe ()) b)
         | None -> ());
         (res.Runner.cycles, res))
       arrivals
   in
-  let stalls, shared_accesses, contended_accesses = engine.eng_settle () in
-  engine.eng_flush ();
+  let settled = Cluster.settle t in
+  Cluster.flush_metrics t;
   (* Arbitration stalls are charged at settlement, after the dispatch loop:
      fold each core's settled stall cycles into its busy time so the
-     makespan matches Corun.run's accounting (the Closed degenerate case is
-     bit-identical end to end, makespan included). *)
+     makespan matches Cluster.run's accounting (the Closed degenerate case
+     is bit-identical end to end, makespan included). *)
+  let stalls = settled.Cluster.stalls in
   let makespan =
     Array.fold_left max 0 (Array.mapi (fun i b -> b + stalls.(i)) busy)
   in
@@ -518,7 +454,16 @@ let run (cfg : config) =
     events;
   let trace_unmatched_ends = Tracer.unmatched_ends tr in
   Registry.set_count c_unmatched trace_unmatched_ends;
-  let snapshots = ("serve", Registry.snapshot reg) :: engine.eng_snapshots () in
+  (* One node keeps the node's own registry names (core<i>, cluster), so
+     the n0. prefix comes off. *)
+  let cluster_snaps =
+    if cfg.nodes > 1 then Cluster.snapshots t
+    else
+      List.map
+        (fun (who, snap) -> (String.sub who 3 (String.length who - 3), snap))
+        (Cluster.snapshots t)
+  in
+  let snapshots = ("serve", Registry.snapshot reg) :: cluster_snaps in
   let serve_snap = List.assoc "serve" snapshots in
   let max_of f =
     List.fold_left (fun m r -> Float.max m (float_of_int (f r))) 0.0 records
@@ -556,10 +501,11 @@ let run (cfg : config) =
     aggregate_hit_rate = ratio (hits_of (fun _ -> true)) (lookups_of (fun _ -> true));
     restored_entries;
     contention_cycles = Array.fold_left ( + ) 0 stalls;
-    shared_accesses;
-    contended_accesses;
+    shared_accesses = settled.Cluster.shared_accesses;
+    contended_accesses = settled.Cluster.contended_accesses;
     trace_unmatched_ends;
-    cluster_section = engine.eng_section ();
+    cluster_section =
+      (if cfg.nodes > 1 then Some (Cluster.section t ~settled) else None);
     timeline;
     alerts;
     snapshots;
@@ -696,7 +642,7 @@ let service_json o =
     ]
     @ warm_fields)
 
-let default_series_cap = Corun.default_series_cap
+let default_series_cap = Cluster.default_series_cap
 
 (* One report row per outcome: the serve registry concatenated with the
    cluster registry (names are disjoint and the union re-sorted, keeping

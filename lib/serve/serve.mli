@@ -1,13 +1,13 @@
-(** Open-loop service model over the co-run cluster: seeded arrivals, a
-    bounded FIFO admission queue with load shedding, per-request latency
+(** Open-loop service model over the memoization cluster: seeded arrivals,
+    a bounded FIFO admission queue with load shedding, per-request latency
     observability, SLO accounting, and saturation sweeps.
 
     One run calibrates the mean per-request service time on a throwaway
-    1-core cluster, converts [load] into an arrival rate
+    1-core node, converts [load] into an arrival rate
     ([load * ncores / mean_service_cycles]), generates the seeded arrival
-    stream ({!Arrival}), and drives a fresh {!Axmemo_multicore.Corun}
-    cluster through {!Axmemo_multicore.Schedule.dispatch_open} — LUT and
-    cache state stay warm across requests exactly as in the closed co-run.
+    stream ({!Arrival}), and drives a fresh {!Axmemo_cluster.Cluster}
+    through {!Axmemo_multicore.Schedule.dispatch_open} — LUT and cache
+    state stay warm across requests exactly as in a closed stream.
     Latency histograms, SLO rates, the Chrome request timeline and the
     ["service"] report section are purely observational: per-request cycle
     results are bit-identical with or without them.
@@ -16,7 +16,7 @@
     are pure functions of their configuration (the only exception being
     [sim_wall_seconds], which is off the reports by default) — reports are
     byte-identical for any [--jobs] setting, and a [Closed] arrival run
-    with a large enough queue reproduces {!Axmemo_multicore.Corun.run}'s
+    with a large enough queue reproduces {!Axmemo_cluster.Cluster.run}'s
     per-request results bit for bit. *)
 
 type watch_config = {
@@ -38,12 +38,13 @@ type config = {
       (** cores, LUT sizes, partition policy, mix and request count (the
           per-node shape when [nodes > 1]) *)
   nodes : int;
-      (** service nodes. 1 (the default) drives a plain
-          {!Axmemo_multicore.Corun} cluster — the pre-cluster code path,
-          byte-identical reports. [> 1] drives the sharded multi-node
-          cluster ({!Axmemo_cluster.Cluster}) with directory invalidation
-          and the modeled interconnect; the report row gains the
-          ["cluster"] section and per-node [n<j>.]-prefixed metrics. *)
+      (** cluster nodes, each of shape [cluster]. One node (the default)
+          is the co-run: its report row has no ["cluster"] section, its
+          registries keep the node's own names ([core<i>], [cluster]), and
+          the timeline's [inv_sent] counts retired invalidates. [> 1] adds
+          directory invalidation and the modeled interconnect; the report
+          row gains the ["cluster"] section and per-node [n<j>.]-prefixed
+          metrics. *)
   arrival : Arrival.kind;
   load : float;
       (** offered load as a fraction of cluster capacity; 1.0 = one mean

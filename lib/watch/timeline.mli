@@ -17,6 +17,9 @@ type t
 type traffic = {
   remote_probes : int;
   inv_sent : int;
+      (** on one node, retired [invalidate] instructions (each counted
+          once, on the issuing core); on M > 1 nodes, point-to-point LUT
+          invalidation messages delivered to other nodes *)
   net_messages : int;
   quality_samples : int;
   quality_bad : int;

@@ -1,9 +1,8 @@
 (* Tests for the sharded multi-node cluster: shard-routing totality and
-   uniformity, the 1-node = Corun bit-identity guarantee, directory vs
-   broadcast invalidation semantics (same final LUT contents, strictly
-   fewer messages), replication hit-share monotonicity in the threshold,
-   serial/parallel report byte-identity, and the config validators behind
-   the CLI's flag hygiene. *)
+   uniformity, directory vs broadcast invalidation semantics (same final
+   LUT contents, strictly fewer messages), replication hit-share
+   monotonicity in the threshold, serial/parallel report byte-identity,
+   and the config validators behind the CLI's flag hygiene. *)
 
 module Cluster = Axmemo_cluster.Cluster
 module Corun = Axmemo_multicore.Corun
@@ -67,38 +66,6 @@ let test_ring_hops () =
   Alcotest.(check int) "wrap" 1 (Cluster.ring_hops ~nodes:4 0 3);
   Alcotest.(check int) "across" 2 (Cluster.ring_hops ~nodes:4 0 2);
   Alcotest.(check int) "self" 0 (Cluster.ring_hops ~nodes:4 2 2)
-
-(* --- 1-node cluster == Corun --- *)
-
-let test_single_node_identity () =
-  (* A 1-node cluster installs neither the routing port nor the directory
-     hook, so it must reproduce Corun.run on the node config outcome for
-     outcome: same placements, same per-request results, same aggregate
-     cycles (wall time excluded by contract). *)
-  let node =
-    { Corun.default with ncores = 2; workloads = [ "blackscholes"; "sobel" ]; requests = 6 }
-  in
-  let c = Cluster.run { Cluster.default with nodes = 1; node } in
-  let r = Corun.run node in
-  Alcotest.(check int) "makespan" r.Corun.makespan_cycles c.Cluster.makespan_cycles;
-  Alcotest.(check (float 0.0)) "speedup" r.Corun.speedup c.Cluster.speedup;
-  Alcotest.(check (float 0.0)) "throughput" r.Corun.throughput_rps c.Cluster.throughput_rps;
-  Alcotest.(check (float 0.0)) "hit rate" r.Corun.aggregate_hit_rate c.Cluster.aggregate_hit_rate;
-  Alcotest.(check (float 0.0)) "fairness" r.Corun.fairness c.Cluster.fairness;
-  Alcotest.(check int) "coherence keys" r.Corun.coherence_keys c.Cluster.coherence_keys;
-  Alcotest.(check int) "divergent" r.Corun.coherence_divergent c.Cluster.coherence_divergent;
-  Alcotest.(check int) "no net traffic" 0 c.Cluster.net_messages;
-  List.iter2
-    (fun (a : Corun.request_run) (b : Cluster.request_run) ->
-      Alcotest.(check int) "rid" a.Corun.rid b.Cluster.rid;
-      Alcotest.(check string) "workload" a.Corun.workload b.Cluster.workload;
-      Alcotest.(check int) "core" a.Corun.core b.Cluster.gcore;
-      Alcotest.(check int) "start" a.Corun.start b.Cluster.start;
-      Alcotest.(check int) "finish" a.Corun.finish b.Cluster.finish;
-      Alcotest.(check bool) "result bits" true
-        ({ b.Cluster.result with Runner.sim_wall_seconds = 0.0 }
-        = { a.Corun.result with Runner.sim_wall_seconds = 0.0 }))
-    r.Corun.requests c.Cluster.requests
 
 (* --- directory vs broadcast --- *)
 
@@ -250,7 +217,6 @@ let () =
         ] );
       ( "cluster",
         [
-          Alcotest.test_case "1-node = corun" `Quick test_single_node_identity;
           Alcotest.test_case "directory = broadcast" `Quick test_directory_equals_broadcast;
           Alcotest.test_case "replication monotone" `Quick test_replication_monotone;
           Alcotest.test_case "jobs byte-identical" `Quick test_matrix_jobs_byte_identical;

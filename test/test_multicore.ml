@@ -9,6 +9,7 @@ module Shared_lut = Axmemo_multicore.Shared_lut
 module Arbiter = Axmemo_multicore.Arbiter
 module Schedule = Axmemo_multicore.Schedule
 module Corun = Axmemo_multicore.Corun
+module Cluster = Axmemo_cluster.Cluster
 module Runner = Axmemo.Runner
 module Registry = Axmemo_telemetry.Registry
 module Json = Axmemo_util.Json
@@ -194,6 +195,9 @@ let test_invalidate_broadcast () =
     (Shared_lut.occupancy (Corun.shared_lut cluster));
   Alcotest.(check (option int64)) "post-invalidate miss" None (probe h1 1.5)
 
+(* A co-run is a 1-node cluster. *)
+let corun node = Cluster.run { Cluster.default with nodes = 1; node }
+
 (* --- 1-core co-run == single-core runner --- *)
 
 let test_single_core_bit_identity () =
@@ -210,10 +214,10 @@ let test_single_core_bit_identity () =
       retain_luts = false;
     }
   in
-  let outcome = Corun.run cfg in
+  let outcome = corun cfg in
   let corun_r =
-    match outcome.Corun.requests with
-    | [ r ] -> r.Corun.result
+    match outcome.Cluster.requests with
+    | [ r ] -> r.Cluster.result
     | l -> Alcotest.failf "expected 1 request, got %d" (List.length l)
   in
   let _, make = Option.get (W.Registry.find "blackscholes") in
@@ -235,16 +239,21 @@ let test_matrix_jobs_byte_identical () =
     List.map
       (fun partition ->
         {
-          Corun.default with
-          ncores = 2;
-          workloads = [ "blackscholes" ];
-          requests = 4;
-          partition;
+          Cluster.default with
+          nodes = 1;
+          node =
+            {
+              Corun.default with
+              ncores = 2;
+              workloads = [ "blackscholes" ];
+              requests = 4;
+              partition;
+            };
         })
       [ Shared_lut.Free_for_all; Shared_lut.Static ]
   in
   let render jobs =
-    Json.to_string ~indent:2 (Corun.report (Corun.run_matrix ~jobs cfgs))
+    Json.to_string ~indent:2 (Cluster.corun_report (Cluster.run_matrix ~jobs cfgs))
   in
   Alcotest.(check string) "jobs=1 == jobs=4" (render 1) (render 4)
 
@@ -257,13 +266,14 @@ let test_warm_luts_accumulate () =
   let cfg =
     { Corun.default with ncores = 2; workloads = [ "blackscholes" ]; requests = 4 }
   in
-  let o = Corun.run cfg in
-  Alcotest.(check bool) "shared LUT warm" true (o.Corun.shared_occupancy > 0);
-  Alcotest.(check bool) "inclusive copies exist" true (o.Corun.coherence_keys > 0);
-  Alcotest.(check int) "no divergence" 0 o.Corun.coherence_divergent;
-  Alcotest.(check bool) "throughput positive" true (o.Corun.throughput_rps > 0.0);
+  let o = corun cfg in
+  Alcotest.(check bool) "shared LUT warm" true
+    (o.Cluster.node_summaries.(0).Cluster.shared_occupancy > 0);
+  Alcotest.(check bool) "inclusive copies exist" true (o.Cluster.coherence_keys > 0);
+  Alcotest.(check int) "no divergence" 0 o.Cluster.coherence_divergent;
+  Alcotest.(check bool) "throughput positive" true (o.Cluster.throughput_rps > 0.0);
   Alcotest.(check bool) "fairness in range" true
-    (o.Corun.fairness > 0.0 && o.Corun.fairness <= 1.0 +. 1e-9)
+    (o.Cluster.fairness > 0.0 && o.Cluster.fairness <= 1.0 +. 1e-9)
 
 (* --- satellite: NaN-free ratios --- *)
 

@@ -19,6 +19,7 @@ module Fault_model = Axmemo_faults.Fault_model
 module Stats = Axmemo_util.Stats
 module Json = Axmemo_util.Json
 module Diff = Axmemo_obs.Diff
+module Registry = Axmemo_telemetry.Registry
 module W = Axmemo_workloads
 
 let contains s sub =
@@ -419,6 +420,47 @@ let test_l3_decay_reaches_timeline () =
     true
     (faulty.Timeline.quality_samples > clean.Timeline.quality_samples)
 
+(* On one node the timeline's inv_sent counts retired [invalidate]
+   instructions — each issuing unit's own memo.invalidations counter — not
+   node messages. kmeans' phase barrier retires the same invalidates on one
+   core as on two, since a peer receiving the broadcast does not count it. *)
+let test_single_node_inv_sent () =
+  List.iter
+    (fun ncores ->
+      let cfg =
+        {
+          Serve.default with
+          cluster =
+            {
+              Corun.default with
+              ncores;
+              workloads = [ "kmeans"; "sobel" ];
+              requests = 8;
+              variant = W.Workload.Sample;
+            };
+          watch = Some Serve.default_watch;
+        }
+      in
+      let o = Serve.run cfg in
+      let inv_sent =
+        match o.Serve.timeline with
+        | None -> Alcotest.fail "watch on but no timeline"
+        | Some tl -> (Timeline.totals tl).Timeline.total_traffic.Timeline.inv_sent
+      in
+      let retired =
+        List.fold_left
+          (fun acc (who, snap) ->
+            match List.assoc_opt "memo.invalidations" snap with
+            | Some (Registry.Counter n) when String.starts_with ~prefix:"core" who ->
+                acc + n
+            | _ -> acc)
+          0 o.Serve.snapshots
+      in
+      let name = Printf.sprintf "%d core(s)" ncores in
+      Alcotest.(check bool) (name ^ ": invalidates retired") true (inv_sent > 0);
+      Alcotest.(check int) (name ^ ": inv_sent = retired invalidates") retired inv_sent)
+    [ 1; 2 ]
+
 (* --- suites --------------------------------------------------------------- *)
 
 let q = QCheck_alcotest.to_alcotest
@@ -456,6 +498,8 @@ let () =
             test_timeline_and_alert_sections_gated;
           Alcotest.test_case "l3 decay reaches timeline" `Quick
             test_l3_decay_reaches_timeline;
+          Alcotest.test_case "1-node inv_sent = retired invalidates" `Quick
+            test_single_node_inv_sent;
         ] );
       ( "percentiles",
         [ Alcotest.test_case "edge contract" `Quick test_percentile_edges ] );
