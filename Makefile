@@ -96,24 +96,20 @@ watch-smoke: build
 # counts, schedule heads, saturation points). The fresh reports are build
 # outputs (gitignored); bench/baselines/ holds the one committed copy. A
 # legitimate perf or model change updates the snapshot in the same PR:
-#   cp BENCH_PR1.json FAULTS_SMOKE.json CORUN_SMOKE.json SERVE_SMOKE.json \
-#      BENCH_SERVE.json TIER_SMOKE.json CLUSTER_SMOKE.json WATCH_SMOKE.json \
-#      bench/baselines/
+#   cp $(WALL_REPORTS) $(EXACT_REPORTS) bench/baselines/
+WALL_REPORTS = BENCH_PR1.json SERVE_SMOKE.json
 EXACT_REPORTS = BENCH_SERVE.json CLUSTER_SMOKE.json CORUN_SMOKE.json \
   FAULTS_SMOKE.json TIER_SMOKE.json WATCH_SMOKE.json
 
 diff-gate: smoke faults-smoke corun-smoke serve-smoke bench-serve tier-smoke cluster-smoke watch-smoke
-	dune exec bin/axmemo_cli.exe -- diff bench/baselines/BENCH_PR1.json BENCH_PR1.json \
-	  --tol "summary.sim_wall_seconds=3:0.5" --gate --quiet
-	dune exec bin/axmemo_cli.exe -- diff bench/baselines/FAULTS_SMOKE.json FAULTS_SMOKE.json --gate --quiet
-	dune exec bin/axmemo_cli.exe -- diff bench/baselines/CORUN_SMOKE.json CORUN_SMOKE.json --gate --quiet
-	dune exec bin/axmemo_cli.exe -- diff bench/baselines/SERVE_SMOKE.json SERVE_SMOKE.json \
-	  --tol "summary.sim_wall_seconds=3:0.5" --gate --quiet
-	dune exec bin/axmemo_cli.exe -- diff bench/baselines/BENCH_SERVE.json BENCH_SERVE.json --gate --quiet
-	dune exec bin/axmemo_cli.exe -- diff bench/baselines/TIER_SMOKE.json TIER_SMOKE.json --gate --quiet
-	dune exec bin/axmemo_cli.exe -- diff bench/baselines/CLUSTER_SMOKE.json CLUSTER_SMOKE.json --gate --quiet
-	dune exec bin/axmemo_cli.exe -- diff bench/baselines/WATCH_SMOKE.json WATCH_SMOKE.json --gate --quiet
-	for f in $(EXACT_REPORTS); do cmp bench/baselines/$$f $$f || exit 1; done
+	for f in $(WALL_REPORTS); do \
+	  dune exec bin/axmemo_cli.exe -- diff bench/baselines/$$f $$f \
+	    --tol "summary.sim_wall_seconds=3:0.5" --gate --quiet || exit 1; \
+	done
+	for f in $(EXACT_REPORTS); do \
+	  dune exec bin/axmemo_cli.exe -- diff bench/baselines/$$f $$f --gate --quiet || exit 1; \
+	  cmp bench/baselines/$$f $$f || exit 1; \
+	done
 
 check: build test diff-gate
 

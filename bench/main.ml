@@ -35,6 +35,7 @@ module Timing = Axmemo_isa.Timing
 module Synthesis = Axmemo_energy.Synthesis
 module Json = Axmemo_util.Json
 module Report = Axmemo_telemetry.Report
+module Registry = Axmemo_telemetry.Registry
 module Campaign = Axmemo_resilience.Campaign
 module Protection = Axmemo_faults.Protection
 module Shared_lut = Axmemo_multicore.Shared_lut
@@ -844,10 +845,15 @@ let perf_smoke () =
      snapshots of the shared run-report schema, checks that attaching
      telemetry does not perturb results, and pins the rendered reports
      byte-identical across backends. *)
-  let telem = Runner.run_matrix_telemetry ~jobs:1 ~backend:`Compiled (smoke_cells ()) in
-  let telem_interp =
-    Runner.run_matrix_telemetry ~jobs:1 ~backend:`Interp (smoke_cells ())
+  let telemetry backend =
+    Pool.run ~jobs:1
+      (fun (config, inst) ->
+        let reg = Registry.create () in
+        let r = Runner.run ~backend ~metrics:reg config inst in
+        (r, Registry.snapshot reg))
+      (smoke_cells ())
   in
+  let telem = telemetry `Compiled and telem_interp = telemetry `Interp in
   let telem_identical =
     List.for_all2 (fun a ((b : Runner.result), _) -> norm a = norm b) serial telem
   in

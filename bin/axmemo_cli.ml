@@ -20,6 +20,7 @@ module Table = Axmemo_util.Table
 module Json = Axmemo_util.Json
 module Rng = Axmemo_util.Rng
 module Report = Axmemo_telemetry.Report
+module Registry = Axmemo_telemetry.Registry
 module Tracer = Axmemo_telemetry.Tracer
 module Campaign = Axmemo_resilience.Campaign
 module Fault_model = Axmemo_faults.Fault_model
@@ -249,38 +250,33 @@ let run_cmd =
       | Runner.Baseline -> None
       | _ -> Some (Runner.run ~backend Baseline (make variant))
     in
-    let want_telemetry = metrics <> None || csv <> None || chrome_trace <> None in
-    if want_telemetry then begin
-      let r, snapshot, tracer =
-        Runner.run_telemetry ~backend ~trace:(chrome_trace <> None) config
-          (make variant)
-      in
-      if not quiet then print_result ~base r;
-      let report_run =
-        {
-          Report.benchmark = bench;
-          config = r.label;
-          summary = summary_of ?base r;
-          metrics = snapshot;
-          profile = None;
-          service = None;
-              cluster = None;
-              timeline = None;
-              alerts = None;
-        }
-      in
-      Option.iter
-        (fun path -> Report.write ~extra:(seed_extra ()) path [ report_run ])
-        metrics;
-      Option.iter (fun path -> Report.write_csv path [ report_run ]) csv;
-      match (tracer, chrome_trace) with
-      | Some tr, Some path -> Tracer.write tr path
-      | _ -> ()
-    end
-    else begin
-      let r = Runner.run ~backend config (make variant) in
-      if not quiet then print_result ~base r
-    end
+    let reg = if metrics <> None || csv <> None then Some (Registry.create ()) else None in
+    let r =
+      Runner.run ~backend ?metrics:reg
+        ?trace:(Option.map (fun path tr -> Tracer.write tr path) chrome_trace)
+        config (make variant)
+    in
+    if not quiet then print_result ~base r;
+    Option.iter
+      (fun reg ->
+        let report_run =
+          {
+            Report.benchmark = bench;
+            config = r.label;
+            summary = summary_of ?base r;
+            metrics = Registry.snapshot reg;
+            profile = None;
+            service = None;
+            cluster = None;
+            timeline = None;
+            alerts = None;
+          }
+        in
+        Option.iter
+          (fun path -> Report.write ~extra:(seed_extra ()) path [ report_run ])
+          metrics;
+        Option.iter (fun path -> Report.write_csv path [ report_run ]) csv)
+      reg
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -324,8 +320,13 @@ let sweep_cmd =
        request the plain path avoids the registry work entirely. *)
     let results, snapshots =
       if want_report then
-        let pairs = Runner.run_matrix_telemetry ?jobs ~backend cells in
-        (List.map fst pairs, List.map snd pairs)
+        List.split
+          (Axmemo_util.Pool.run ?jobs
+             (fun (config, inst) ->
+               let reg = Registry.create () in
+               let r = Runner.run ~backend ~metrics:reg config inst in
+               (r, Registry.snapshot reg))
+             cells)
       else (Runner.run_matrix ?jobs ~backend cells, [])
     in
     let per_bench = 1 + List.length configs in
@@ -1292,8 +1293,7 @@ let snapshot_cmd =
           Corun.capture_snapshot (Cluster.node_cluster t ~node:0)
         with Invalid_argument msg -> die "%s" msg
       in
-      (try Tier_snapshot.save snap file
-       with Sys_error msg -> die "%s" msg);
+      Tier_snapshot.save snap file;
       if not quiet then begin
         Printf.printf "wrote %s: version %d, %d sections, %d entries\n" file
           Tier_snapshot.version
@@ -1356,21 +1356,19 @@ let profile_cmd =
     print_seed quiet;
     let _, make = Option.get (W.Registry.find bench) in
     let variant = variant_of sample in
+    let profiled ?metrics config =
+      let inst = make variant in
+      let p = Profile.create ~regions:(Runner.profile_regions inst) in
+      let r = Runner.run ~backend ?metrics ~profile:p config inst in
+      (r, Profile.snapshot p)
+    in
     (* A profiled baseline run of the same instance family gives the
        cycles-saved column; skipped when the baseline itself is profiled. *)
     let base =
-      match config with
-      | Runner.Baseline -> None
-      | _ ->
-          let inst = make variant in
-          let p = Profile.create ~regions:(Runner.profile_regions inst) in
-          let r = Runner.run ~backend ~profile:p Runner.Baseline inst in
-          Some (r, Profile.snapshot p)
+      match config with Runner.Baseline -> None | _ -> Some (profiled Runner.Baseline)
     in
-    let inst = make variant in
-    let prof = Profile.create ~regions:(Runner.profile_regions inst) in
-    let r, snapshot, _ = Runner.run_telemetry ~backend ~profile:prof config inst in
-    let snap = Profile.snapshot prof in
+    let reg = Registry.create () in
+    let r, snap = profiled ~metrics:reg config in
     if not quiet then begin
       print_result ~base:(Option.map fst base) r;
       print_newline ();
@@ -1391,7 +1389,7 @@ let profile_cmd =
               Report.benchmark = bench;
               config = r.Runner.label;
               summary = summary_of ?base:(Option.map fst base) r;
-              metrics = snapshot;
+              metrics = Registry.snapshot reg;
               profile = Some (Profile.to_json snap);
               service = None;
               cluster = None;
@@ -1540,9 +1538,19 @@ let ir_cmd =
 let () =
   let doc = "AxMemo: hardware-compiler co-design for approximate code memoization" in
   let info = Cmd.info "axmemo" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [ list_cmd; run_cmd; sweep_cmd; faults_cmd; corun_cmd; cluster_cmd;
+        serve_cmd; snapshot_cmd; profile_cmd; diff_cmd; top_cmd; analyze_cmd;
+        ir_cmd; check_cmd ]
+  in
+  (* Output files are opened once the simulation has run, so an unwritable
+     path surfaces here as [Sys_error]: a one-line error, exit 1, as [die]
+     gives. Any other exception stays an internal error (exit 125). *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ list_cmd; run_cmd; sweep_cmd; faults_cmd; corun_cmd; cluster_cmd;
-            serve_cmd; snapshot_cmd; profile_cmd; diff_cmd; top_cmd;
-            analyze_cmd; ir_cmd; check_cmd ]))
+    (try Cmd.eval ~catch:false cmd with
+    | Sys_error msg -> die "%s" msg
+    | e ->
+        prerr_endline
+          ("axmemo: internal error, uncaught exception:\n  " ^ Printexc.to_string e);
+        Cmd.Exit.internal_error)

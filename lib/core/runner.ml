@@ -6,7 +6,6 @@ module Memo_unit = Axmemo_memo.Memo_unit
 module Model = Axmemo_energy.Model
 module Transform = Axmemo_compiler.Transform
 module Workload = Axmemo_workloads.Workload
-module Registry = Axmemo_telemetry.Registry
 module Tracer = Axmemo_telemetry.Tracer
 module Fault_model = Axmemo_faults.Fault_model
 module Injector = Axmemo_faults.Injector
@@ -119,9 +118,9 @@ let speedup ~baseline other =
 let energy_saving ~baseline other =
   guarded_ratio baseline.energy.Model.total_pj other.energy.Model.total_pj
 
-(* Block-label based hit counting for the software schemes. Returns a flat
-   [fname bidx iidx] callback for composition into an [Interp.hooks]
-   observer. *)
+(* Block-label based hit counting for the software schemes: an observer
+   counting entries into the engine's hit and miss blocks, composed after
+   the pipeline's hooks. *)
 let sw_hit_counter program =
   let hit_sites = Hashtbl.create 64 and miss_sites = Hashtbl.create 64 in
   Array.iter
@@ -136,133 +135,181 @@ let sw_hit_counter program =
         f.blocks)
     (program : Ir.program).funcs;
   let hits = ref 0 and misses = ref 0 in
-  let on_exec fname bidx iidx =
+  let on_exec fname bidx iidx _instr _addr =
     if iidx = 0 then
       if Hashtbl.mem hit_sites (fname, bidx) then incr hits
       else if Hashtbl.mem miss_sites (fname, bidx) then incr misses
   in
-  (on_exec, hits, misses)
+  ({ Interp.no_hooks with on_exec }, hits, misses)
 
-let finish ?(protection_pj = 0.0) ?trip_lookup ?faults ?crashed ~label ~pipeline_stats
-    ~hierarchy ~memo_stats ~l1_lut_bytes ~lookups ~hits ~collisions ~memo_disabled
-    ~outputs ~machine () =
+let machine = Axmemo_cpu.Machine.hpi
+
+type lut_activity =
+  | Counted of { hits : int; misses : int }
+  | Unit of { unit : Memo_unit.t; stats : Memo_unit.stats; l1_bytes : int }
+
+let execute ~due pipe interp (instance : Workload.instance) =
+  let crashed =
+    match Interp.run interp instance.entry instance.args with
+    | _ -> None
+    (* An injected fault can steer the simulated program into failure —
+       e.g. a corrupted payload used in address arithmetic exhausts the
+       memory model. In SEU terms that is a crash (DUE) outcome, not a
+       harness error: record it and keep every statistic gathered up to the
+       crash. Outputs read back whatever was written before the failure
+       (the buffers are pre-allocated). *)
+    | exception e when due -> Some (Printexc.to_string e)
+  in
+  Pipeline.profile_close pipe;
+  crashed
+
+let finish ?(l3_rows = (0, 0)) ?crashed ~label ~wall_start ~luts pipe hierarchy
+    (instance : Workload.instance) =
+  let pipeline = Pipeline.stats pipe in
+  let unit, memo, l1_lut_bytes, lookups, hits, collisions =
+    match luts with
+    | Counted { hits; misses } -> (None, None, kb 8, hits + misses, hits, 0)
+    | Unit { unit; stats = ms; l1_bytes } ->
+        ( Some unit,
+          Some ms,
+          l1_bytes,
+          ms.lookups,
+          ms.l1_hits + ms.l2_hits + ms.l3_hits,
+          ms.collisions )
+  in
+  let injector = Option.bind unit Memo_unit.injector in
+  let faults = Option.map Injector.stats injector in
+  let protection_pj =
+    match (injector, faults, memo) with
+    | Some inj, Some (s : Injector.stats), Some (ms : Memo_unit.stats) ->
+        Protection.energy_pj (Injector.protection inj) ~lookups:ms.lookups
+          ~updates:ms.updates ~corrections:s.secded_corrected
+    | _ -> 0.0
+  in
+  let l3_row_hits, l3_activations = l3_rows in
   let energy =
-    Model.of_run ~protection_pj ~pipeline:pipeline_stats ~hierarchy ~memo:memo_stats
+    Model.of_run ~protection_pj ~l3_row_hits ~l3_activations ~pipeline ~hierarchy ~memo
       ~l1_lut_bytes ()
   in
+  let outputs = instance.read_outputs () in
   {
     label;
-    cycles = pipeline_stats.Pipeline.cycles;
-    seconds =
-      float_of_int pipeline_stats.Pipeline.cycles
-      /. (machine.Axmemo_cpu.Machine.freq_ghz *. 1e9);
-    (* host wall time is stamped by [run_impl] around the whole simulation *)
-    sim_wall_seconds = 0.0;
-    dyn_normal = pipeline_stats.Pipeline.dyn_normal;
-    dyn_memo = pipeline_stats.Pipeline.dyn_memo;
-    pipeline = pipeline_stats;
+    cycles = pipeline.cycles;
+    seconds = float_of_int pipeline.cycles /. (machine.Axmemo_cpu.Machine.freq_ghz *. 1e9);
+    sim_wall_seconds = Unix.gettimeofday () -. wall_start;
+    dyn_normal = pipeline.dyn_normal;
+    dyn_memo = pipeline.dyn_memo;
+    pipeline;
     energy;
     lookups;
     hits;
     hit_rate = (if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups);
     collisions;
-    memo_disabled;
-    trip_lookup;
+    memo_disabled = Option.fold ~none:false ~some:Memo_unit.disabled unit;
+    trip_lookup = Option.bind unit Memo_unit.trip_lookup;
     faults;
     crashed;
     outputs;
   }
 
-let machine = Axmemo_cpu.Machine.hpi
+(* What a configuration decides; [run] simulates every plan the same way. *)
+type hardware = {
+  unit_cfg : Memo_unit.config;
+  decls : Memo_unit.lut_decl list;
+  crc_bytes_per_cycle : int;
+}
 
-(* Function-activation spans plus optional per-exec instants, fanned out
-   after the pipeline's own hooks so the tracer clock reads post-charge
-   cycle counts. *)
-let trace_hooks tr ~instant_of_exec : Interp.hooks =
-  {
-    Interp.on_enter = (fun fname -> Tracer.begin_span tr fname);
-    on_leave = (fun fname -> Tracer.end_span tr fname);
-    on_exec = instant_of_exec;
-    on_term = (fun _ _ _ -> ());
-    exec_site = None;
-    term_site = None;
-  }
+type plan = {
+  program : Ir.program;
+  hier_cfg : Hierarchy.config;
+  hardware : hardware option;
+  counter : (Interp.hooks * int ref * int ref) option;  (* see [sw_hit_counter] *)
+}
 
-let no_instants _fname _bidx _iidx _instr _addr = ()
+let plan config (instance : Workload.instance) =
+  let plain program =
+    { program; hier_cfg = Hierarchy.hpi_default; hardware = None; counter = None }
+  in
+  let hardware ~approximate ~total_l2 ~crc_bytes_per_cycle (unit_cfg : Memo_unit.config) =
+    let regions =
+      if approximate then instance.regions
+      else List.map Transform.zero_truncs instance.regions
+    in
+    let program =
+      Transform.memoize ?barrier:instance.barrier ~entry:instance.entry instance.program
+        regions
+    in
+    let decls = Transform.lut_decls instance.program regions in
+    let hier_base =
+      match total_l2 with
+      | None -> Hierarchy.hpi_default
+      | Some b ->
+          (* Scale the way count with capacity to keep 64 KB ways. *)
+          { Hierarchy.hpi_default with l2_size = b; l2_ways = b / (64 * 1024) }
+    in
+    {
+      program;
+      hier_cfg =
+        (match unit_cfg.l2_bytes with
+        | None -> hier_base
+        | Some lut -> Hierarchy.carve_l2 hier_base ~lut_bytes:lut);
+      hardware = Some { unit_cfg; decls; crc_bytes_per_cycle };
+      counter = None;
+    }
+  in
+  let software memoize table_log2 =
+    let program =
+      memoize ~mem:instance.mem ~table_log2 ~entry:instance.entry ?barrier:instance.barrier
+        instance.program instance.regions
+    in
+    { (plain program) with counter = Some (sw_hit_counter program) }
+  in
+  match config with
+  | Baseline -> plain instance.program
+  | Hw_memo { l1_bytes; l2_bytes; approximate; monitor; total_l2; adaptive } ->
+      hardware ~approximate ~total_l2
+        ~crc_bytes_per_cycle:Axmemo_isa.Timing.crc_bytes_per_cycle
+        {
+          Memo_unit.default_config with
+          l1_bytes;
+          l2_bytes;
+          monitor;
+          adaptive = (if adaptive then Some Memo_unit.default_adaptive else None);
+        }
+  | Hw_custom { unit_cfg; approximate; crc_bytes_per_cycle; _ } ->
+      hardware ~approximate ~total_l2:None ~crc_bytes_per_cycle unit_cfg
+  | Software { table_log2 } -> software Axmemo_baselines.Software_memo.memoize table_log2
+  | Atm { table_log2 } -> software (Axmemo_baselines.Atm.memoize ?seed:None) table_log2
 
-(* Shared hardware-memoization path: Hw_memo and Hw_custom differ only in how
-   the unit configuration is assembled. *)
-let run_hw ?metrics ?profile ?(trace = false) ?backend ~label
-    ~(unit_cfg : Memo_unit.config) ~approximate ~total_l2 ~crc_bytes_per_cycle
-    (instance : Workload.instance) =
-  let regions =
-    if approximate then instance.regions
-    else List.map Transform.zero_truncs instance.regions
-  in
-  let program =
-    Transform.memoize ?barrier:instance.barrier ~entry:instance.entry instance.program
-      regions
-  in
-  let hier_base =
-    match total_l2 with
-    | None -> Hierarchy.hpi_default
-    | Some b ->
-        (* Scale the way count with capacity to keep 64 KB ways. *)
-        { Hierarchy.hpi_default with l2_size = b; l2_ways = b / (64 * 1024) }
-  in
-  let hier_cfg =
-    match unit_cfg.l2_bytes with
-    | None -> hier_base
-    | Some lut -> Hierarchy.carve_l2 hier_base ~lut_bytes:lut
-  in
-  let hierarchy = Hierarchy.create ?metrics hier_cfg in
-  let unit =
-    Memo_unit.create ?metrics
-      ?profile:(Option.map Profile.memo_hooks profile)
-      unit_cfg
-      (Transform.lut_decls instance.program regions)
-  in
-  let lookup_level () =
-    match Memo_unit.last_lookup_level unit with
-    | Memo_unit.Hit_l1 -> `L1
-    | Memo_unit.Hit_l2 -> `L2
-    | Memo_unit.Hit_l3 -> `L3
-    | Memo_unit.Miss -> `Miss
-  in
-  let pipe =
-    Pipeline.create ?metrics
-      ?profile:(Option.map Profile.pipeline_profile profile)
-      ~machine ~lookup_level ~l2_lut_present:(unit_cfg.l2_bytes <> None)
-      ~l1_lut_ways:(Memo_unit.l1_ways unit) ~crc_bytes_per_cycle ~program ~hierarchy ()
-  in
-  (* Per-cycle fault rates integrate over the pipeline's simulated clock. *)
-  (match Memo_unit.injector unit with
-  | Some inj -> Injector.set_clock inj (fun () -> Pipeline.cycles pipe)
-  | None -> ());
-  let tracer =
-    if trace then Some (Tracer.create ~clock:(fun () -> Pipeline.cycles pipe) ())
-    else None
-  in
-  (match tracer with
-  | Some tr ->
-      Tracer.name_process tr ~pid:0
-        (Printf.sprintf "axmemo %s (1 cycle = 1 us)" label);
-      Tracer.name_thread tr ~tid:0 "cpu"
-  | None -> ());
-  (match (tracer, Memo_unit.injector unit) with
-  | Some tr, Some inj ->
-      (* Fault instants land on the same cycle clock as the LUT events, so
-         a trace view correlates upsets with the misses they cause. *)
-      Injector.set_on_fault inj (fun site ->
-          Tracer.instant tr ("fault_" ^ Fault_model.site_name site))
-  | _ -> ());
-  let hooks =
-    match tracer with
-    | None -> Pipeline.hooks pipe
-    | Some tr ->
+let lookup_level unit () =
+  match Memo_unit.last_lookup_level unit with
+  | Memo_unit.Hit_l1 -> `L1
+  | Memo_unit.Hit_l2 -> `L2
+  | Memo_unit.Hit_l3 -> `L3
+  | Memo_unit.Miss -> `Miss
+
+(* A cycle-clock tracer on [pipe]: function-activation spans, plus LUT and
+   fault instants when a memo unit is attached. Its hooks run after the
+   pipeline's own, so the clock reads post-charge cycle counts. *)
+let attach_tracer ~label pipe unit =
+  let tr = Tracer.create ~clock:(fun () -> Pipeline.cycles pipe) () in
+  Tracer.name_process tr ~pid:0 (Printf.sprintf "axmemo %s (1 cycle = 1 us)" label);
+  Tracer.name_thread tr ~tid:0 "cpu";
+  let on_exec =
+    match unit with
+    | None -> fun _ _ _ _ _ -> ()
+    | Some unit -> (
+        (match Memo_unit.injector unit with
+        | Some inj ->
+            (* Fault instants land on the same cycle clock as the LUT
+               events, so a trace view correlates upsets with the misses
+               they cause. *)
+            Injector.set_on_fault inj (fun site ->
+                Tracer.instant tr ("fault_" ^ Fault_model.site_name site))
+        | None -> ());
         (* The lookup's memo hook has already run when [on_exec] fires, so
            [last_lookup_level] names the level that serviced it. *)
-        let lut_instant _fname _bidx _iidx (instr : Ir.instr) _addr =
+        fun _fname _bidx _iidx (instr : Ir.instr) _addr ->
           match instr with
           | Ir.Memo (Ir.Lookup _) -> (
               match Memo_unit.last_lookup_level unit with
@@ -271,193 +318,73 @@ let run_hw ?metrics ?profile ?(trace = false) ?backend ~label
               | Memo_unit.Hit_l3 -> Tracer.instant tr "lut_hit_l3"
               | Memo_unit.Miss -> Tracer.instant tr "lut_miss")
           | Ir.Memo (Ir.Invalidate _) -> Tracer.instant tr "lut_invalidate"
-          | _ -> ()
-        in
-        Interp.combine_hooks (Pipeline.hooks pipe)
-          (trace_hooks tr ~instant_of_exec:lut_instant)
+          | _ -> ())
   in
-  let interp =
-    Interp.create ~memo:(Memo_unit.hooks unit) ~hooks ?backend ~program
-      ~mem:instance.mem ()
-  in
-  let crashed =
-    match Memo_unit.injector unit with
-    | None ->
-        ignore (Interp.run interp instance.entry instance.args);
-        None
-    | Some _ -> (
-        (* An injected fault can steer the simulated program into failure —
-           e.g. a corrupted payload used in address arithmetic exhausts the
-           memory model. In SEU terms that is a crash (DUE) outcome of the
-           campaign, not a harness error: record it and keep every statistic
-           gathered up to the crash. Outputs read back whatever was written
-           before the failure (the buffers are pre-allocated). *)
-        try
-          ignore (Interp.run interp instance.entry instance.args);
-          None
-        with e -> Some (Printexc.to_string e))
-  in
-  Pipeline.profile_close pipe;
-  Memo_unit.flush_metrics unit;
-  Pipeline.flush_metrics pipe;
-  Hierarchy.flush_metrics hierarchy;
-  let ms = Memo_unit.stats unit in
-  let fstats = Option.map Injector.stats (Memo_unit.injector unit) in
-  let protection_pj =
-    match (Memo_unit.injector unit, fstats) with
-    | Some inj, Some (s : Injector.stats) ->
-        Protection.energy_pj (Injector.protection inj) ~lookups:ms.lookups
-          ~updates:ms.updates ~corrections:s.secded_corrected
-    | _ -> 0.0
-  in
-  ( finish ~protection_pj ?trip_lookup:(Memo_unit.trip_lookup unit) ?faults:fstats
-      ?crashed ~label
-      ~pipeline_stats:(Pipeline.stats pipe) ~hierarchy ~memo_stats:(Some ms)
-      ~l1_lut_bytes:unit_cfg.l1_bytes ~lookups:ms.lookups ~hits:(ms.l1_hits + ms.l2_hits)
-      ~collisions:ms.collisions ~memo_disabled:(Memo_unit.disabled unit)
-      ~outputs:(instance.read_outputs ()) ~machine (),
-    tracer )
-
-let run_impl_untimed ?metrics ?profile ?(trace = false) ?backend config
-    (instance : Workload.instance) =
-  let label = config_label config in
-  match config with
-  | Baseline ->
-      let hierarchy = Hierarchy.create ?metrics Hierarchy.hpi_default in
-      let pipe =
-        Pipeline.create ?metrics
-          ?profile:(Option.map Profile.pipeline_profile profile)
-          ~machine ~program:instance.program ~hierarchy ()
-      in
-      let tracer =
-        if trace then Some (Tracer.create ~clock:(fun () -> Pipeline.cycles pipe) ())
-        else None
-      in
-      (match tracer with
-      | Some tr ->
-          Tracer.name_process tr ~pid:0
-            (Printf.sprintf "axmemo %s (1 cycle = 1 us)" label);
-          Tracer.name_thread tr ~tid:0 "cpu"
-      | None -> ());
-      let hooks =
-        match tracer with
-        | None -> Pipeline.hooks pipe
-        | Some tr ->
-            Interp.combine_hooks (Pipeline.hooks pipe)
-              (trace_hooks tr ~instant_of_exec:no_instants)
-      in
-      let interp =
-        Interp.create ~hooks ?backend ~program:instance.program ~mem:instance.mem ()
-      in
-      ignore (Interp.run interp instance.entry instance.args);
-      Pipeline.profile_close pipe;
-      Pipeline.flush_metrics pipe;
-      Hierarchy.flush_metrics hierarchy;
-      ( finish ~label ~pipeline_stats:(Pipeline.stats pipe) ~hierarchy ~memo_stats:None
-          ~l1_lut_bytes:(kb 8) ~lookups:0 ~hits:0 ~collisions:0 ~memo_disabled:false
-          ~outputs:(instance.read_outputs ()) ~machine (),
-        tracer )
-  | Hw_memo { l1_bytes; l2_bytes; approximate; monitor; total_l2; adaptive } ->
-      let unit_cfg =
-        {
-          Memo_unit.default_config with
-          l1_bytes;
-          l2_bytes;
-          monitor;
-          adaptive = (if adaptive then Some Memo_unit.default_adaptive else None);
-        }
-      in
-      run_hw ?metrics ?profile ~trace ?backend ~label ~unit_cfg ~approximate ~total_l2
-        ~crc_bytes_per_cycle:Axmemo_isa.Timing.crc_bytes_per_cycle instance
-  | Hw_custom { label; unit_cfg; approximate; crc_bytes_per_cycle } ->
-      run_hw ?metrics ?profile ~trace ?backend ~label ~unit_cfg ~approximate
-        ~total_l2:None ~crc_bytes_per_cycle instance
-  | Software { table_log2 } | Atm { table_log2 } ->
-      let sw_memoize =
-        match config with
-        | Atm _ -> Axmemo_baselines.Atm.memoize ?seed:None
-        | Baseline | Hw_memo _ | Hw_custom _ | Software _ ->
-            Axmemo_baselines.Software_memo.memoize
-      in
-      let program =
-        sw_memoize ~mem:instance.mem ~table_log2 ~entry:instance.entry
-          ?barrier:instance.barrier instance.program instance.regions
-      in
-      let hierarchy = Hierarchy.create ?metrics Hierarchy.hpi_default in
-      let pipe =
-        Pipeline.create ?metrics
-          ?profile:(Option.map Profile.pipeline_profile profile)
-          ~machine ~program ~hierarchy ()
-      in
-      let tracer =
-        if trace then Some (Tracer.create ~clock:(fun () -> Pipeline.cycles pipe) ())
-        else None
-      in
-      (match tracer with
-      | Some tr ->
-          Tracer.name_process tr ~pid:0
-            (Printf.sprintf "axmemo %s (1 cycle = 1 us)" label);
-          Tracer.name_thread tr ~tid:0 "cpu"
-      | None -> ());
-      let count_exec, hits, misses = sw_hit_counter program in
-      let ph = Pipeline.hooks pipe in
-      let hooks =
-        {
-          ph with
-          Interp.on_exec =
-            (fun fname bidx iidx instr addr ->
-              ph.Interp.on_exec fname bidx iidx instr addr;
-              count_exec fname bidx iidx);
-          (* the record update keeps the pipeline's compiled sites, which
-             would bypass the hit counter under the compiled backend — wrap
-             the site compiler the same way as the flat callback *)
-          exec_site =
-            (match ph.Interp.exec_site with
-            | None -> None
-            | Some site ->
-                Some
-                  (fun fname bidx iidx instr ->
-                    let f = site fname bidx iidx instr in
-                    fun addr ->
-                      f addr;
-                      count_exec fname bidx iidx));
-        }
-      in
-      let hooks =
-        match tracer with
-        | None -> hooks
-        | Some tr -> Interp.combine_hooks hooks (trace_hooks tr ~instant_of_exec:no_instants)
-      in
-      let interp = Interp.create ~hooks ?backend ~program ~mem:instance.mem () in
-      ignore (Interp.run interp instance.entry instance.args);
-      Pipeline.profile_close pipe;
-      Pipeline.flush_metrics pipe;
-      Hierarchy.flush_metrics hierarchy;
-      let lookups = !hits + !misses in
-      ( finish ~label ~pipeline_stats:(Pipeline.stats pipe) ~hierarchy ~memo_stats:None
-          ~l1_lut_bytes:(kb 8) ~lookups ~hits:!hits ~collisions:0 ~memo_disabled:false
-          ~outputs:(instance.read_outputs ()) ~machine (),
-        tracer )
+  ( tr,
+    {
+      Interp.no_hooks with
+      on_enter = (fun fname -> Tracer.begin_span tr fname);
+      on_leave = (fun fname -> Tracer.end_span tr fname);
+      on_exec;
+    } )
 
 (* Wall time covers the full simulation of the cell (model assembly,
    interpretation/compiled execution, metric flushes) — the throughput
    number the perf gate watches. It is the one field excluded from the
    bit-identity contract. *)
-let run_impl ?metrics ?profile ?trace ?backend config instance =
-  let t0 = Unix.gettimeofday () in
-  let result, tracer = run_impl_untimed ?metrics ?profile ?trace ?backend config instance in
-  ({ result with sim_wall_seconds = Unix.gettimeofday () -. t0 }, tracer)
-
-let run ?profile ?backend config instance =
-  fst (run_impl ?profile ?backend config instance)
+let run ?metrics ?profile ?trace ?backend config (instance : Workload.instance) =
+  let wall_start = Unix.gettimeofday () in
+  let label = config_label config in
+  let plan = plan config instance in
+  let hierarchy = Hierarchy.create ?metrics plan.hier_cfg in
+  let unit =
+    Option.map
+      (fun hw ->
+        Memo_unit.create ?metrics ?profile:(Option.map Profile.memo_hooks profile) hw.unit_cfg
+          hw.decls)
+      plan.hardware
+  in
+  let pipe =
+    Pipeline.create ?metrics
+      ?profile:(Option.map Profile.pipeline_profile profile)
+      ~machine ?lookup_level:(Option.map lookup_level unit)
+      ~l2_lut_present:
+        (match plan.hardware with Some hw -> hw.unit_cfg.l2_bytes <> None | None -> false)
+      ?l1_lut_ways:(Option.map Memo_unit.l1_ways unit)
+      ?crc_bytes_per_cycle:(Option.map (fun hw -> hw.crc_bytes_per_cycle) plan.hardware)
+      ~program:plan.program ~hierarchy ()
+  in
+  let injector = Option.bind unit Memo_unit.injector in
+  (* Per-cycle fault rates integrate over the pipeline's simulated clock. *)
+  Option.iter (fun inj -> Injector.set_clock inj (fun () -> Pipeline.cycles pipe)) injector;
+  let tracer = Option.map (fun _ -> attach_tracer ~label pipe unit) trace in
+  let hooks =
+    List.fold_left Interp.combine_hooks (Pipeline.hooks pipe)
+      (Option.to_list (Option.map (fun (h, _, _) -> h) plan.counter)
+      @ Option.to_list (Option.map snd tracer))
+  in
+  let interp =
+    Interp.create
+      ?memo:(Option.map (fun u -> Memo_unit.hooks u) unit)
+      ~hooks ?backend ~program:plan.program ~mem:instance.mem ()
+  in
+  let crashed = execute ~due:(injector <> None) pipe interp instance in
+  Option.iter Memo_unit.flush_metrics unit;
+  Pipeline.flush_metrics pipe;
+  Hierarchy.flush_metrics hierarchy;
+  let luts =
+    match (unit, plan.hardware, plan.counter) with
+    | Some unit, Some hw, _ ->
+        Unit { unit; stats = Memo_unit.stats unit; l1_bytes = hw.unit_cfg.l1_bytes }
+    | _, _, Some (_, hits, misses) -> Counted { hits = !hits; misses = !misses }
+    | _ -> Counted { hits = 0; misses = 0 }
+  in
+  let result = finish ?crashed ~label ~wall_start ~luts pipe hierarchy instance in
+  (match (trace, tracer) with Some f, Some (tr, _) -> f tr | _ -> ());
+  result
 
 let profile_regions (instance : Workload.instance) =
   List.map (fun (r : Transform.region) -> (r.kernel, r.lut_id)) instance.regions
-
-let run_telemetry ?(trace = false) ?profile ?backend config instance =
-  let reg = Registry.create () in
-  let result, tracer = run_impl ~metrics:reg ?profile ~trace ?backend config instance in
-  (result, Registry.snapshot reg, tracer)
 
 (* Parallel experiment matrix. Every (config, instance) cell is an
    independent simulation: each owns its Memory.t (inside the instance),
@@ -467,27 +394,3 @@ let run_telemetry ?(trace = false) ?profile ?backend config instance =
    because the simulator is deterministic and cells never interact. *)
 let run_matrix ?jobs ?backend cells =
   Axmemo_util.Pool.run ?jobs (fun (config, instance) -> run ?backend config instance) cells
-
-(* Telemetry composes with the pool because each worker builds the cell's
-   registry on its own domain — no instrument is ever shared. Snapshots
-   come back in input (cell) order, so any downstream [Registry.merge] is
-   deterministic and independent of [jobs]. *)
-let run_matrix_telemetry ?jobs ?backend cells =
-  Axmemo_util.Pool.run ?jobs
-    (fun (config, instance) ->
-      let reg = Registry.create () in
-      let result, _ = run_impl ~metrics:reg ?backend config instance in
-      (result, Registry.snapshot reg))
-    cells
-
-(* Each worker builds the cell's collector on its own domain, and snapshots
-   come back in cell order, so profile reports are byte-identical between
-   serial and parallel execution — pinned by test_obs. *)
-let run_matrix_profiled ?jobs ?backend cells =
-  Axmemo_util.Pool.run ?jobs
-    (fun (config, instance) ->
-      let reg = Registry.create () in
-      let profile = Profile.create ~regions:(profile_regions instance) in
-      let result, _ = run_impl ~metrics:reg ~profile ?backend config instance in
-      (result, Registry.snapshot reg, Profile.snapshot profile))
-    cells

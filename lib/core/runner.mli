@@ -85,36 +85,29 @@ type result = {
 }
 
 val run :
+  ?metrics:Axmemo_telemetry.Registry.t ->
   ?profile:Axmemo_obs.Profile.t ->
+  ?trace:(Axmemo_telemetry.Tracer.t -> unit) ->
   ?backend:Axmemo_ir.Interp.backend ->
   config ->
   Axmemo_workloads.Workload.instance ->
   result
-(** [run config instance] transforms (if needed), simulates, and collects.
-    The instance's memory is mutated by the run. With [?profile], the
-    collector's hooks are attached to the pipeline (every config) and the
-    memo unit (hardware configs), and the pipeline is profile-closed when
-    the run ends; the [result] is bit-identical either way. [backend]
-    selects the execution strategy (default [`Compiled]); both backends are
-    pinned bit-identical on every field except [sim_wall_seconds]. *)
+(** [run config instance] transforms (if needed), simulates, and collects;
+    every configuration goes through the same executor. The instance's
+    memory is mutated by the run. The caller owns the observers, and the
+    [result] is bit-identical with or without them: [?metrics] gets the
+    memo unit's, pipeline's and cache hierarchy's instruments, flushed when
+    the run ends; [?profile]'s hooks are attached to the pipeline (every
+    config) and the memo unit (hardware configs), and the pipeline is
+    profile-closed when the run ends; [?trace] is handed a cycle-clock
+    {!Axmemo_telemetry.Tracer} (function spans, LUT and fault instants)
+    after the run's wall time is stamped. [backend] selects the execution
+    strategy (default [`Compiled]); both backends are pinned bit-identical
+    on every field except [sim_wall_seconds]. *)
 
 val profile_regions : Axmemo_workloads.Workload.instance -> (string * int) list
 (** The instance's static regions as [(kernel, lut_id)] pairs, in the
     declaration order {!Axmemo_obs.Profile.create} expects. *)
-
-val run_telemetry :
-  ?trace:bool ->
-  ?profile:Axmemo_obs.Profile.t ->
-  ?backend:Axmemo_ir.Interp.backend ->
-  config ->
-  Axmemo_workloads.Workload.instance ->
-  result * Axmemo_telemetry.Registry.snapshot * Axmemo_telemetry.Tracer.t option
-(** [run_telemetry config instance] is {!run} with a metrics registry
-    attached to the memo unit, pipeline, and cache hierarchy; the snapshot
-    is taken after the end-of-run flushes. With [~trace:true] a cycle-clock
-    {!Axmemo_telemetry.Tracer} also records function-activation spans and
-    LUT hit/miss instants. Telemetry is observational only: the [result] is
-    bit-identical to {!run} on a fresh instance. *)
 
 val run_matrix :
   ?jobs:int ->
@@ -126,32 +119,52 @@ val run_matrix :
     the host's recommended domain count, [1] runs serially on the calling
     domain). Results keep the input order and are bit-identical to the
     serial path: each cell owns all of its mutable state, so scheduling
-    cannot affect outcomes.
+    cannot affect outcomes. For per-cell observers, run {!run} under
+    [Pool.run] and create each cell's registry or collector in the worker.
 
     Domain-safety contract: every cell must have its own
     {!Axmemo_workloads.Workload.instance} — instances embed the simulated
     memory and are mutated by the run, so sharing one across cells is a
     race (and wrong even serially). *)
 
-val run_matrix_telemetry :
-  ?jobs:int ->
-  ?backend:Axmemo_ir.Interp.backend ->
-  (config * Axmemo_workloads.Workload.instance) list ->
-  (result * Axmemo_telemetry.Registry.snapshot) list
-(** {!run_matrix} with a per-cell metrics registry. Each worker domain owns
-    the registries of the cells it runs (no instrument is shared across
-    domains), and snapshots return in input order, so merging them — and
-    any report built from them — is byte-identical between serial and
-    parallel execution. *)
+(** {2 Shared with the co-run request} *)
 
-val run_matrix_profiled :
-  ?jobs:int ->
-  ?backend:Axmemo_ir.Interp.backend ->
-  (config * Axmemo_workloads.Workload.instance) list ->
-  (result * Axmemo_telemetry.Registry.snapshot * Axmemo_obs.Profile.snapshot) list
-(** {!run_matrix_telemetry} with a per-cell attribution profiler (regions
-    from {!profile_regions}). Same determinism contract: snapshots are
-    byte-identical for any [jobs]. *)
+val lookup_level : Axmemo_memo.Memo_unit.t -> unit -> [ `L1 | `L2 | `L3 | `Miss ]
+(** The level that served the unit's last lookup, as the pipeline prices it. *)
+
+type lut_activity =
+  | Counted of { hits : int; misses : int }
+      (** no memo hardware: the software schemes' hit/miss block counts *)
+  | Unit of {
+      unit : Axmemo_memo.Memo_unit.t;
+      stats : Axmemo_memo.Memo_unit.stats;  (** the run's share *)
+      l1_bytes : int;
+    }
+
+val execute :
+  due:bool ->
+  Axmemo_cpu.Pipeline.t ->
+  Axmemo_ir.Interp.t ->
+  Axmemo_workloads.Workload.instance ->
+  string option
+(** Runs the instance's entry function, then profile-closes the pipeline.
+    With [~due:true] (an injector is attached) an exception raised by the
+    simulated program is a crash (DUE) outcome, returned as [Some] message
+    with the statistics up to the crash kept; otherwise it propagates. *)
+
+val finish :
+  ?l3_rows:int * int ->
+  ?crashed:string ->
+  label:string ->
+  wall_start:float ->
+  luts:lut_activity ->
+  Axmemo_cpu.Pipeline.t ->
+  Axmemo_cache.Hierarchy.t ->
+  Axmemo_workloads.Workload.instance ->
+  result
+(** A finished run's [result]: energy with the unit's protection charge and
+    [l3_rows] (DRAM-tier row hits and activations; default none), hits =
+    L1 + L2 + L3, the instance's outputs, wall time since [wall_start]. *)
 
 val speedup : baseline:result -> result -> float
 (** Cycle ratio baseline/other. Always finite: if both runs report zero

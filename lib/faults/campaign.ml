@@ -6,6 +6,7 @@ module Runner = Axmemo.Runner
 module Memo_unit = Axmemo_memo.Memo_unit
 module Workload = Axmemo_workloads.Workload
 module Report = Axmemo_telemetry.Report
+module Registry = Axmemo_telemetry.Registry
 module Tracer = Axmemo_telemetry.Tracer
 
 type config = {
@@ -143,7 +144,14 @@ let run ?jobs cfg benchmarks ~variant =
              combos)
       benchmarks
   in
-  let pairs = Runner.run_matrix_telemetry ?jobs cells in
+  let pairs =
+    Axmemo_util.Pool.run ?jobs
+      (fun (config, instance) ->
+        let metrics = Registry.create () in
+        let r = Runner.run ~metrics config instance in
+        (r, Registry.snapshot metrics))
+      cells
+  in
   let per_bench = 2 + List.length combos in
   let chunk i =
     List.filteri (fun j _ -> j >= i * per_bench && j < (i + 1) * per_bench) pairs
@@ -322,5 +330,4 @@ let trace_cell cfg ~benchmark:((meta : Workload.meta), make) ~variant ~path =
   | (group, sites) :: _, protection :: _ ->
       let rate = List.fold_left Float.max 0.0 cfg.rates in
       let config = faulty_config cfg ~bench:meta.name ~group ~sites ~rate ~protection in
-      let _, _, tracer = Runner.run_telemetry ~trace:true config (make variant) in
-      (match tracer with Some tr -> Tracer.write tr path | None -> ())
+      ignore (Runner.run ~trace:(fun tr -> Tracer.write tr path) config (make variant))

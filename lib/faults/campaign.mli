@@ -4,11 +4,12 @@
     A campaign runs, per benchmark: one exact {!Axmemo.Runner.Baseline} cell
     (the quality reference), one fault-free memoized cell (the performance
     and energy reference), and one faulty memoized cell per (site group,
-    rate, protection) combination. All cells fan out together over
-    {!Axmemo.Runner.run_matrix_telemetry}, so a fixed {!config.seed} gives a
-    byte-identical campaign no matter [?jobs]: per-cell fault seeds are
-    drawn sequentially from the campaign seed {e before} the fan-out, and
-    every cell owns all of its mutable state.
+    rate, protection) combination. All cells fan out together over one
+    {!Axmemo_util.Pool}, each running {!Axmemo.Runner.run} with its own
+    metrics registry, so a fixed {!config.seed} gives a byte-identical
+    campaign no matter [?jobs]: per-cell fault seeds are drawn sequentially
+    from the campaign seed {e before} the fan-out, and every cell owns all
+    of its mutable state.
 
     The campaign quantifies, per faulty cell:
     - {b SDC rate}: hits that returned corrupted state, over all hits;

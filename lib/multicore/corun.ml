@@ -8,7 +8,6 @@ module Hierarchy = Axmemo_cache.Hierarchy
 module Pipeline = Axmemo_cpu.Pipeline
 module Machine = Axmemo_cpu.Machine
 module Memo_unit = Axmemo_memo.Memo_unit
-module Model = Axmemo_energy.Model
 module Transform = Axmemo_compiler.Transform
 module Workload = Axmemo_workloads.Workload
 module Workloads = Axmemo_workloads.Registry
@@ -77,9 +76,19 @@ type mix_entry = {
   wname : string;
   make : Workload.variant -> Workload.instance;
   offset : int;
-  nregions : int;
+  regions : Transform.region list;  (* the probe instance's, renumbered *)
+  decls : Memo_unit.lut_decl list;  (* their LUT declarations *)
 }
 
+let remap_regions ~offset regions =
+  if offset = 0 then regions
+  else
+    List.map
+      (fun (r : Transform.region) -> { r with Transform.lut_id = r.Transform.lut_id + offset })
+      regions
+
+(* One probe instance per workload gives its renumbered regions and their
+   LUT declarations. *)
 let resolve_mix cfg =
   (match cfg.workloads with
   | [] -> invalid_arg "Corun: empty workload mix"
@@ -92,9 +101,10 @@ let resolve_mix cfg =
         | None -> invalid_arg (Printf.sprintf "Corun: unknown benchmark %S" name)
         | Some (_meta, make) ->
             let probe = make cfg.variant in
-            let n = List.length probe.Workload.regions in
-            let e = { wname = name; make; offset = !next; nregions = n } in
-            next := !next + n;
+            let regions = remap_regions ~offset:!next probe.Workload.regions in
+            let decls = Transform.lut_decls probe.Workload.program regions in
+            let e = { wname = name; make; offset = !next; regions; decls } in
+            next := !next + List.length regions;
             e)
       cfg.workloads
   in
@@ -104,25 +114,6 @@ let resolve_mix cfg =
          "Corun: the workload mix needs %d logical LUTs but LUT_ID is 3 bits (max 8)"
          !next);
   mix
-
-let remap_regions ~offset regions =
-  if offset = 0 then regions
-  else
-    List.mapi
-      (fun i (r : Transform.region) ->
-        ignore i;
-        { r with Transform.lut_id = r.Transform.lut_id + offset })
-      regions
-
-(* The union of every workload's (renumbered) LUT declarations — what each
-   core's unit is built to serve. *)
-let mix_decls cfg mix =
-  List.concat_map
-    (fun e ->
-      let probe = e.make cfg.variant in
-      Transform.lut_decls probe.Workload.program
-        (remap_regions ~offset:e.offset probe.Workload.regions))
-    mix
 
 (* ---- cluster ---------------------------------------------------------- *)
 
@@ -159,22 +150,20 @@ type l2_port_maker =
 (* Every core serves the whole mix's LUT namespace, so every collector is
    declared over the same remapped region list — which is what lets the
    per-core snapshots merge into one cluster profile. *)
-let mix_regions cfg mix =
+let mix_regions mix =
   List.concat_map
-    (fun e ->
-      let probe = e.make cfg.variant in
-      List.map
-        (fun (r : Transform.region) -> (r.Transform.kernel, r.Transform.lut_id + e.offset))
-        probe.Workload.regions)
+    (fun e -> List.map (fun (r : Transform.region) -> (r.kernel, r.lut_id)) e.regions)
     mix
 
 let create_cluster ?(metrics = false) ?(profile = false) ?l2_port ?on_invalidate cfg =
   if cfg.ncores < 1 then invalid_arg "Corun: need at least one core";
   let mix = resolve_mix cfg in
-  let decls = mix_decls cfg mix in
+  (* The union of every workload's (renumbered) LUT declarations — what
+     each core's unit is built to serve. *)
+  let decls = List.concat_map (fun e -> e.decls) mix in
   let profiles =
     if profile then
-      let regions = mix_regions cfg mix in
+      let regions = mix_regions mix in
       Some (Array.init cfg.ncores (fun _ -> Profile.create ~regions))
     else None
   in
@@ -439,20 +428,13 @@ let run_request cluster ~core ~start (entry : mix_entry) =
      covers only its own accesses. *)
   Hierarchy.reset_stats c.hierarchy;
   c.timing.base <- start;
-  let lookup_level () =
-    match Memo_unit.last_lookup_level c.unit_ with
-    | Memo_unit.Hit_l1 -> `L1
-    | Memo_unit.Hit_l2 -> `L2
-    | Memo_unit.Hit_l3 -> `L3
-    | Memo_unit.Miss -> `Miss
-  in
   let pipe =
     Pipeline.create
       ?profile:
         (Option.map
            (fun ps -> Profile.pipeline_profile ps.(core))
            cluster.profiles)
-      ~machine ~lookup_level ~l2_lut_present:true
+      ~machine ~lookup_level:(Runner.lookup_level c.unit_) ~l2_lut_present:true
       ~l3_lookup_cycles:(fun () -> Memo_unit.last_l3_cycles c.unit_)
       ~l1_lut_ways:(Memo_unit.l1_ways c.unit_)
       ~crc_bytes_per_cycle:Timing.crc_bytes_per_cycle ~program ~hierarchy:c.hierarchy ()
@@ -465,26 +447,11 @@ let run_request cluster ~core ~start (entry : mix_entry) =
     Interp.create ~memo:(memo_hooks cluster ~core) ~hooks:(Pipeline.hooks pipe) ~program
       ~mem:instance.Workload.mem ()
   in
-  let crashed =
-    match cluster.injector with
-    | None ->
-        ignore (Interp.run interp instance.Workload.entry instance.Workload.args);
-        None
-    | Some _ -> (
-        (* Same DUE semantics as Runner.run_hw: an injected upset may crash
-           the simulated program; keep what was computed up to the crash. *)
-        try
-          ignore (Interp.run interp instance.Workload.entry instance.Workload.args);
-          None
-        with e -> Some (Printexc.to_string e))
-  in
-  Pipeline.profile_close pipe;
-  let ms = stats_delta before (Memo_unit.stats c.unit_) in
-  let pipeline_stats = Pipeline.stats pipe in
+  let crashed = Runner.execute ~due:(cluster.injector <> None) pipe interp instance in
   (* This request's share of the DRAM tier's row traffic (the tier is a
      cluster-wide structure; requests run one at a time, so the delta is
      exactly this request's). *)
-  let l3_row_hits, l3_activations =
+  let l3_rows =
     match (l3_before, cluster.l3) with
     | Some b, Some d ->
         let s = Dram_lut.stats d in
@@ -492,34 +459,15 @@ let run_request cluster ~core ~start (entry : mix_entry) =
           s.Dram_lut.row_activations - b.Dram_lut.row_activations )
     | _ -> (0, 0)
   in
-  let energy =
-    Model.of_run ~l3_row_hits ~l3_activations ~pipeline:pipeline_stats
-      ~hierarchy:c.hierarchy ~memo:(Some ms) ~l1_lut_bytes:cfg.l1_bytes ()
-  in
-  let cycles = pipeline_stats.Pipeline.cycles in
-  {
-    Runner.label = label cfg;
-    cycles;
-    seconds = float_of_int cycles /. (machine.Machine.freq_ghz *. 1e9);
-    sim_wall_seconds = Unix.gettimeofday () -. wall_start;
-    dyn_normal = pipeline_stats.Pipeline.dyn_normal;
-    dyn_memo = pipeline_stats.Pipeline.dyn_memo;
-    pipeline = pipeline_stats;
-    energy;
-    lookups = ms.lookups;
-    hits = ms.l1_hits + ms.l2_hits + ms.l3_hits;
-    hit_rate =
-      (if ms.lookups = 0 then 0.0
-       else
-         float_of_int (ms.l1_hits + ms.l2_hits + ms.l3_hits)
-         /. float_of_int ms.lookups);
-    collisions = ms.collisions;
-    memo_disabled = Memo_unit.disabled c.unit_;
-    trip_lookup = Memo_unit.trip_lookup c.unit_;
-    faults = None;
-    crashed;
-    outputs = instance.Workload.read_outputs ();
-  }
+  Runner.finish ~l3_rows ?crashed ~label:(label cfg) ~wall_start
+    ~luts:
+      (Runner.Unit
+         {
+           unit = c.unit_;
+           stats = stats_delta before (Memo_unit.stats c.unit_);
+           l1_bytes = cfg.l1_bytes;
+         })
+    pipe c.hierarchy instance
 
 (* ---- driver access -----------------------------------------------------
 

@@ -150,12 +150,12 @@ let norm (r : Runner.result) = { r with Runner.sim_wall_seconds = 0.0 }
 let test_workloads_telemetry_identical () =
   List.iter
     (fun ((m : W.Workload.meta), make) ->
-      let rc, sc, _ =
-        Runner.run_telemetry ~backend:`Compiled Runner.l1_8k (make W.Workload.Sample)
+      let run backend =
+        let reg = Registry.create () in
+        let r = Runner.run ~backend ~metrics:reg Runner.l1_8k (make W.Workload.Sample) in
+        (r, Registry.snapshot reg)
       in
-      let ri, si, _ =
-        Runner.run_telemetry ~backend:`Interp Runner.l1_8k (make W.Workload.Sample)
-      in
+      let rc, sc = run `Compiled and ri, si = run `Interp in
       Alcotest.(check bool) (m.name ^ ": result bit-identical") true (norm rc = norm ri);
       Alcotest.(check string)
         (m.name ^ ": telemetry byte-identical")
@@ -172,7 +172,13 @@ let test_workloads_matrix_profiled_identical () =
             (Runner.software_default, make W.Workload.Sample) ])
         W.Registry.all
     in
-    Runner.run_matrix_profiled ~jobs:1 ~backend cs
+    List.map
+      (fun (config, (inst : W.Workload.instance)) ->
+        let reg = Registry.create () in
+        let prof = Profile.create ~regions:(Runner.profile_regions inst) in
+        let r = Runner.run ~backend ~metrics:reg ~profile:prof config inst in
+        (r, Registry.snapshot reg, Profile.snapshot prof))
+      cs
   in
   let compiled = cells `Compiled and interp = cells `Interp in
   List.iter2

@@ -8,6 +8,8 @@ module Injector = Axmemo_faults.Injector
 module Protection = Axmemo_faults.Protection
 module Lut = Axmemo_memo.Lut
 module Runner = Axmemo.Runner
+module Corun = Axmemo_multicore.Corun
+module Cluster = Axmemo_cluster.Cluster
 module Campaign = Axmemo_resilience.Campaign
 module W = Axmemo_workloads
 module Json = Axmemo_util.Json
@@ -239,6 +241,55 @@ let test_rate_zero_injector_is_transparent () =
   | None -> Alcotest.fail "injector stats missing"
   | Some s -> Alcotest.(check int) "nothing injected" 0 s.injected_total
 
+(* --- crash (DUE) capture --- *)
+
+(* Unprotected upsets at rate 1e-2, fault seed 4. *)
+let faults_on sites = Some { Fault_model.default with seed = 4L; rate = 1e-2; sites }
+
+(* Upsets on the kmeans L1 LUT drive the simulated program into an
+   out-of-bounds access: a DUE outcome carrying the prefix's statistics. *)
+let test_cell_due () =
+  let _, make = Option.get (W.Registry.find "kmeans") in
+  let config =
+    Runner.Hw_custom
+      {
+        label = "l1-faults";
+        unit_cfg =
+          {
+            Axmemo_memo.Memo_unit.default_config with
+            faults = faults_on Fault_model.[ L1_tag; L1_payload; L1_valid; L1_lru ];
+          };
+        approximate = true;
+        crc_bytes_per_cycle = Axmemo_isa.Timing.crc_bytes_per_cycle;
+      }
+  in
+  List.iter
+    (fun backend ->
+      let r = Runner.run ~backend config (make W.Workload.Sample) in
+      Alcotest.(check (option string))
+        "crashed" (Some "Invalid_argument(\"index out of bounds\")") r.crashed;
+      Alcotest.(check (list int))
+        "lookups, hits, cycles, injected" [ 108; 97; 7943; 18 ]
+        [ r.lookups; r.hits; r.cycles; (Option.get r.faults).injected_total ])
+    [ `Compiled; `Interp ]
+
+(* The same capture ends a request on a faulty node; the stream goes on. *)
+let test_request_due () =
+  let node =
+    {
+      Corun.default with
+      ncores = 1;
+      workloads = [ "kmeans" ];
+      requests = 4;
+      faults = faults_on Fault_model.[ L2_tag; L2_payload; L2_valid; L2_lru ];
+    }
+  in
+  let o = Cluster.run { Cluster.default with nodes = 1; node } in
+  let crashed (r : Cluster.request_run) = r.result.crashed <> None in
+  Alcotest.(check (pair int int))
+    "requests, crashed" (4, 2)
+    (List.length o.requests, List.length (List.filter crashed o.requests))
+
 (* --- campaign --- *)
 
 let small_campaign () =
@@ -337,6 +388,11 @@ let () =
             test_rate_zero_injector_is_transparent;
           Alcotest.test_case "derive_stream identity" `Quick
             test_derive_stream_identity_without_root;
+        ] );
+      ( "crash",
+        [
+          Alcotest.test_case "cell DUE" `Quick test_cell_due;
+          Alcotest.test_case "request DUE" `Quick test_request_due;
         ] );
       ( "campaign",
         [

@@ -108,9 +108,16 @@ let cells () =
     (Runner.l1_8k_l2_256k, instance "blackscholes");
   ]
 
+(* Each worker builds its cell's collector and registry on its own domain,
+   as [axmemo profile] attaches both. *)
 let rendered_matrix jobs =
-  Runner.run_matrix_profiled ~jobs (cells ())
-  |> List.map (fun (_, _, snap) ->
+  Axmemo_util.Pool.run ~jobs
+    (fun (config, inst) ->
+      let p = Profile.create ~regions:(Runner.profile_regions inst) in
+      ignore (Runner.run ~metrics:(Registry.create ()) ~profile:p config inst);
+      Profile.snapshot p)
+    (cells ())
+  |> List.map (fun snap ->
          Profile.render snap ^ Json.to_string ~indent:2 (Profile.to_json snap))
   |> String.concat "\n"
 

@@ -462,9 +462,7 @@ let test_telemetry_is_observational () =
   let plain = Runner.run_matrix ~jobs:1 (small_cells ()) in
   let telem =
     List.map
-      (fun (cfg, inst) ->
-        let r, _, _ = Runner.run_telemetry ~trace:true cfg inst in
-        r)
+      (fun (cfg, inst) -> Runner.run ~metrics:(Registry.create ()) ~trace:ignore cfg inst)
       (small_cells ())
   in
   List.iteri (fun i (a, b) -> check_result_identical i a b) (List.combine plain telem)
@@ -488,18 +486,50 @@ let report_of pairs =
   in
   Json.to_string ~indent:2 (Report.make runs)
 
+(* Each worker builds its cell's registry, so no instrument is shared
+   across domains. *)
+let telemetry_matrix ~jobs cells =
+  Axmemo_util.Pool.run ~jobs
+    (fun (cfg, inst) ->
+      let reg = Registry.create () in
+      let r = Runner.run ~metrics:reg cfg inst in
+      (r, Registry.snapshot reg))
+    cells
+
 let test_matrix_report_serial_parallel_identical () =
   (* The acceptance bar: a merged metric report rendered from a serial
      matrix run and from a --jobs 4 run are byte-identical. *)
-  let serial = report_of (Runner.run_matrix_telemetry ~jobs:1 (small_cells ())) in
-  let parallel = report_of (Runner.run_matrix_telemetry ~jobs:4 (small_cells ())) in
+  let serial = report_of (telemetry_matrix ~jobs:1 (small_cells ())) in
+  let parallel = report_of (telemetry_matrix ~jobs:4 (small_cells ())) in
   check Alcotest.string "byte-identical report" serial parallel
 
-let test_run_telemetry_populates () =
-  let _, make = Option.get (WReg.find "sobel") in
-  let _, snapshot, tracer =
-    Runner.run_telemetry ~trace:true Runner.l1_8k (make Workload.Sample)
+(* Runs one cell with a registry and a tracer attached; [count prefix] is
+   the number of trace instants whose name starts with [prefix]. *)
+let traced bench config =
+  let _, make = Option.get (WReg.find bench) in
+  let reg = Registry.create () and tracer = ref None in
+  let trace tr = tracer := Some tr in
+  let r = Runner.run ~metrics:reg ~trace config (make Workload.Sample) in
+  let tr = Option.get !tracer in
+  let msg s = Printf.sprintf "%s %s: %s" bench r.label s in
+  check Alcotest.(pair int int) (msg "unmatched ends, dropped") (0, 0)
+    (Tracer.unmatched_ends tr, Tracer.dropped tr);
+  let instants =
+    match Json.member "traceEvents" (Tracer.to_json tr) with
+    | Some (Json.Arr events) ->
+        List.filter_map
+          (fun ev ->
+            match (Json.member "ph" ev, Json.member "name" ev) with
+            | Some (Json.Str "i"), Some (Json.Str name) -> Some name
+            | _ -> None)
+          events
+    | _ -> Alcotest.fail "trace without traceEvents"
   in
+  let count prefix = List.length (List.filter (String.starts_with ~prefix) instants) in
+  (r, Registry.snapshot reg, count, msg)
+
+let test_traced_cells_populate () =
+  let _, snapshot, _, _ = traced "sobel" Runner.l1_8k in
   let counter name =
     match List.assoc_opt name snapshot with
     | Some (Registry.Counter c) -> c
@@ -516,9 +546,45 @@ let test_run_telemetry_populates () =
   | Some (Registry.Histogram d) ->
       check Alcotest.int "trunc histogram saw every send" (counter "memo.sends") d.total
   | _ -> Alcotest.fail "missing memo.trunc_bits histogram");
-  match tracer with
-  | Some tr -> Alcotest.(check bool) "tracer recorded" true (Tracer.events tr > 0)
-  | None -> Alcotest.fail "tracer requested but absent"
+  (* Memo hardware records one LUT instant per lookup, at the level that
+     served it; the other schemes record spans only. *)
+  List.iter
+    (fun (bench, config) ->
+      let r, _, count, msg = traced bench config in
+      match config with
+      | Runner.Hw_memo _ ->
+          check Alcotest.int (msg "hit instants") r.hits (count "lut_hit_");
+          check Alcotest.int (msg "miss instants") (r.lookups - r.hits) (count "lut_miss");
+          Alcotest.(check bool) (msg "invalidate instants") true (count "lut_invalidate" > 0)
+      | _ ->
+          check Alcotest.int (msg "LUT and fault instants") 0 (count "lut_" + count "fault_"))
+    (List.concat_map
+       (fun bench ->
+         List.map (fun c -> (bench, c))
+           Runner.[ Baseline; l1_8k; l1_8k_l2_512k; software_default; atm_default ])
+       [ "sobel"; "kmeans" ]);
+  (* A faulty cell records one instant per injected upset. *)
+  let faults =
+    {
+      Axmemo_faults.Fault_model.default with
+      seed = 5L;
+      rate = 1e-3;
+      sites = Axmemo_faults.Fault_model.[ L1_tag; L1_payload; L1_valid; L1_lru ];
+    }
+  in
+  let r, _, count, msg =
+    traced "kmeans"
+      (Runner.Hw_custom
+         {
+           label = "l1-faults";
+           unit_cfg = { Axmemo_memo.Memo_unit.default_config with faults = Some faults };
+           approximate = true;
+           crc_bytes_per_cycle = Axmemo_isa.Timing.crc_bytes_per_cycle;
+         })
+  in
+  let injected = (Option.get r.faults).injected_total in
+  Alcotest.(check bool) (msg "faults injected") true (injected > 0);
+  check Alcotest.int (msg "fault instants") injected (count "fault_")
 
 let () =
   Alcotest.run "telemetry"
@@ -566,6 +632,6 @@ let () =
             test_telemetry_is_observational;
           Alcotest.test_case "serial == parallel report" `Slow
             test_matrix_report_serial_parallel_identical;
-          Alcotest.test_case "run_telemetry populates" `Slow test_run_telemetry_populates;
+          Alcotest.test_case "traced cells populate" `Slow test_traced_cells_populate;
         ] );
     ]
