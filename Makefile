@@ -31,8 +31,8 @@ faults-smoke: build
 
 # Small fixed-seed co-run matrix: two-workload mix over 1 and 2 cores, all
 # partitioning policies, fanned over the pool. Exercises the shared LUT,
-# arbitration, the scheduler and the bounded co-run report end to end; the
-# report is uploaded as a CI artifact.
+# arbitration, the scheduler and the bounded report (the 1-node cluster
+# layout) end to end; the report is uploaded as a CI artifact.
 corun-smoke: build
 	timeout $(SMOKE_TIMEOUT) dune exec bin/axmemo_cli.exe -- corun \
 	  -b blackscholes,sobel --sample --seed 1234 --cores 1,2 --requests 8 \
@@ -91,11 +91,15 @@ watch-smoke: build
 # loose tolerance — wide enough not to flap on machine noise, tight enough
 # to catch an order-of-magnitude simulator-throughput regression. `diff`
 # flattens only each report's runs[]; the reports with no wall-clock field
-# are also compared byte for byte, which gates their top-level corun,
-# cluster and saturation arrays (way ranges, shadow hits, coherence
-# counts, schedule heads, saturation points). The fresh reports are build
-# outputs (gitignored); bench/baselines/ holds the one committed copy. A
-# legitimate perf or model change updates the snapshot in the same PR:
+# are also compared byte for byte, which gates their top-level cluster
+# and saturation arrays (way ranges, shadow hits, coherence counts,
+# schedule heads, saturation points). The perf smoke also writes
+# one report per execution backend with the wall-clock metric left out;
+# the smoke already fails on divergence, and the closing cmp re-checks the
+# two artifacts byte for byte so a report-writing bug cannot mask a backend
+# mismatch. The fresh reports are build outputs (gitignored);
+# bench/baselines/ holds the one committed copy. A legitimate perf or model
+# change updates the snapshot in the same PR:
 #   cp $(WALL_REPORTS) $(EXACT_REPORTS) bench/baselines/
 WALL_REPORTS = BENCH_PR1.json SERVE_SMOKE.json
 EXACT_REPORTS = BENCH_SERVE.json CLUSTER_SMOKE.json CORUN_SMOKE.json \
@@ -110,6 +114,7 @@ diff-gate: smoke faults-smoke corun-smoke serve-smoke bench-serve tier-smoke clu
 	  dune exec bin/axmemo_cli.exe -- diff bench/baselines/$$f $$f --gate --quiet || exit 1; \
 	  cmp bench/baselines/$$f $$f || exit 1; \
 	done
+	cmp BENCH_PR1.compiled.json BENCH_PR1.interp.json
 
 check: build test diff-gate
 

@@ -18,8 +18,10 @@
                                     BENCH_PR1.{compiled,interp}.json
 
    Experiment ids: table1 table2 table3 table4 table5 fig7a fig7b fig8 fig9
-                   fig10a fig10b fig11 atm l2sens faults corun serve tier
-                   cluster *)
+                   fig10a fig10b fig11 atm l2sens ablation_crc
+                   ablation_policy ablation_throughput ablation_payload
+                   ablation_rounding ablation_adaptive faults corun serve
+                   tier cluster watch *)
 
 module W = Axmemo_workloads
 module Workload = W.Workload
@@ -1034,9 +1036,8 @@ let faults_exp () =
    partitioning policy. Checks the subsystem's headline claims —
    throughput scales with cores, the shared LUT stays coherent without a
    protocol, and partitioning changes where the ways go without breaking
-   determinism — then writes
-   BENCH_CORUN.json (cluster-level registries only, so the report stays
-   small no matter how long the streams were). *)
+   determinism — then writes BENCH_CORUN.json in the cluster report
+   layout (per-core and shared-LUT registries, series decimated). *)
 let corun_mix = [ "fft"; "sobel" ]
 
 let corun_exp () =
@@ -1106,7 +1107,7 @@ let corun_exp () =
     (List.fold_left
        (fun a (o : Cluster.outcome) -> a + o.coherence_divergent)
        0 outcomes);
-  Cluster.write_corun_report ~per_core:false "BENCH_CORUN.json" outcomes;
+  Cluster.write_report "BENCH_CORUN.json" outcomes;
   Printf.printf "wrote BENCH_CORUN.json\n"
 
 (* ------------------------------------------------------------------ *)

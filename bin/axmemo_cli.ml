@@ -6,12 +6,15 @@
      sweep [-b <bench>]       run every configuration (optionally one bench)
      faults [-b <bench>]      SEU resilience campaign (site x rate x protection)
      corun [-b <m1,m2>]       multi-core co-run over a shared L2 LUT
+     cluster [-b <m1,m2>]     sharded multi-node scale-out (directory, interconnect)
      serve [-b <m1,m2>]       open-loop service study (arrivals, queueing, SLOs)
      snapshot save/load FILE  persist warm LUT contents for --warm-start
      profile -b <bench>       attribution profile (cycles/energy/misses/error)
      diff A.json B.json       compare two run reports; --gate for CI
+     top REPORT.json          render a report's timeline and alert sections
      analyze -b <bench>       DDDG candidate analysis (Table 1 row)
-     ir -b <bench>            dump the benchmark's IR *)
+     ir -b <bench>            dump the benchmark's IR
+     check FILE               parse and validate an IR file *)
 
 module W = Axmemo_workloads
 module Runner = Axmemo.Runner
@@ -125,6 +128,15 @@ let die fmt =
       prerr_endline ("axmemo: " ^ msg);
       exit 1)
     fmt
+
+(* A swept list that names one value twice would simulate that cell twice
+   and then collide in the report, so it is rejected before anything runs.
+   Values compare after parsing: "ffa" and "free-for-all" are a repeat. *)
+let rec no_repeats flag name_of = function
+  | [] -> ()
+  | v :: rest ->
+      if List.mem v rest then die "%s repeats %s" flag (name_of v);
+      no_repeats flag name_of rest
 
 (* Sys_error messages already lead with the path; don't print it twice. *)
 let with_path file msg =
@@ -486,6 +498,9 @@ let faults_cmd =
       metrics csv chrome_trace quiet =
     apply_seed seed;
     print_seed quiet;
+    no_repeats "--rates" (Printf.sprintf "%g") rates;
+    no_repeats "--protections" Protection.kind_name protections;
+    no_repeats "--sites" fst site_groups;
     let variant = variant_of sample in
     let selected =
       match bench with
@@ -630,6 +645,7 @@ let l3_config_of mb =
    non-positive values with a one-line error instead of a backtrace. *)
 let validate_cluster_flags ~cores ~requests ~banks ~ports =
   List.iter (fun n -> if n < 1 then die "--cores must be positive (got %d)" n) cores;
+  no_repeats "--cores" string_of_int cores;
   if requests < 1 then die "--requests must be positive (got %d)" requests;
   if banks < 1 then die "--banks must be positive (got %d)" banks;
   if ports < 1 then die "--ports must be positive (got %d)" ports
@@ -639,9 +655,10 @@ let corun_profile_arg =
     value & flag
     & info [ "profile" ]
         ~doc:
-          "Attach an attribution profiler to every core: the report gains \
-           per-core and merged $(b,profile) sections, and shared-LUT \
-           arbitration stalls are charged back to core and region.")
+          "Attach an attribution profiler to every core: each report row \
+           gains the merged $(b,profile) section, each core's entry in the \
+           report's $(b,cluster) array its own, and shared-LUT arbitration \
+           stalls are charged back to core and region.")
 
 let corun_cmd =
   let doc = "Multi-core co-run: shared L2 LUT, partitioning, arbitration." in
@@ -650,6 +667,7 @@ let corun_cmd =
     apply_seed seed;
     print_seed quiet;
     validate_cluster_flags ~cores ~requests ~banks ~ports;
+    no_repeats "--partition" Shared_lut.partition_name partitions;
     let l3 = l3_config_of l3_mb in
     let faults =
       Option.map
@@ -727,9 +745,9 @@ let corun_cmd =
               print_string (Profile.render (Profile.merge (Array.to_list ps)))
           | None -> ())
         outcomes;
-    Option.iter (fun path -> Cluster.write_corun_report path outcomes) metrics;
+    Option.iter (fun path -> Cluster.write_report path outcomes) metrics;
     Option.iter
-      (fun path -> Report.write_csv path (Cluster.corun_report_runs outcomes))
+      (fun path -> Report.write_csv path (Cluster.report_runs outcomes))
       csv
   in
   Cmd.v (Cmd.info "corun" ~doc)
@@ -894,6 +912,7 @@ let serve_cmd =
     apply_seed seed;
     print_seed quiet;
     validate_cluster_flags ~cores ~requests ~banks ~ports;
+    no_repeats "--partition" Shared_lut.partition_name partitions;
     if nodes < 1 then die "--nodes must be positive (got %d)" nodes;
     if queue < 1 then die "--queue must be positive (got %d)" queue;
     if slo < 0 then die "--slo must be non-negative (got %d)" slo;
@@ -903,6 +922,7 @@ let serve_cmd =
         if not (l > 0.0 && Float.is_finite l) then
           die "--load must be positive (got %g)" l)
       loads;
+    no_repeats "--load" (Printf.sprintf "%g") loads;
     let l3 = l3_config_of l3_mb in
     (* Validate the snapshot up front so a missing/corrupt file is one line
        and exit 1, not a mid-matrix exception. *)
@@ -1147,6 +1167,7 @@ let cluster_cmd =
     List.iter
       (fun m -> if m < 1 then die "--nodes must be positive (got %d)" m)
       nodes;
+    no_repeats "--nodes" string_of_int nodes;
     validate_cluster_flags ~cores:[ ncores ] ~requests ~banks ~ports;
     if replicate_threshold < 0 then
       die "--replicate-threshold must be non-negative (got %d)"
@@ -1509,7 +1530,10 @@ let analyze_cmd =
   Cmd.v (Cmd.info "analyze" ~doc) Term.(const run $ bench_arg)
 
 let check_cmd =
-  let doc = "Parse and validate an IR file (the format printed by $(b,ir))." in
+  let doc =
+    "Parse and validate an IR file (the format printed by $(b,ir)); exit 1 \
+     with a one-line error on a malformed one."
+  in
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"IR source file.")
   in
@@ -1519,7 +1543,7 @@ let check_cmd =
     let text = really_input_string ic n in
     close_in ic;
     match Axmemo_ir.Parser.parse_program text with
-    | Error e -> Format.printf "error: %a@." Axmemo_ir.Parser.pp_error e
+    | Error e -> die "%s: %s" file (Format.asprintf "%a" Axmemo_ir.Parser.pp_error e)
     | Ok p ->
         Printf.printf "%s: ok — %d function(s), %d static instruction(s)\n" file
           (Array.length p.funcs) (Axmemo_ir.Ir.static_count p)

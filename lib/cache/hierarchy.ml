@@ -139,10 +139,6 @@ let write t ~addr =
 let l1 t = t.l1
 let l2 t = t.l2
 
-let invalidate_all t =
-  Sa_cache.invalidate_all t.l1;
-  Sa_cache.invalidate_all t.l2
-
 let reset_stats t =
   Sa_cache.reset_stats t.l1;
   Sa_cache.reset_stats t.l2

@@ -47,7 +47,6 @@ val write : t -> addr:int -> int
 val l1 : t -> Sa_cache.t
 val l2 : t -> Sa_cache.t
 
-val invalidate_all : t -> unit
 val reset_stats : t -> unit
 
 val flush_metrics : t -> unit

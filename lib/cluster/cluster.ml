@@ -20,8 +20,8 @@
    into finish times at settlement exactly like arbitration stalls — so
    per-request cycle results stay bit-identical to the node-local model.
    This is the one engine that drives request streams: a 1-node cluster
-   installs neither hook and is the co-run, whose report keeps its own
-   layout (the co-run renderer below). *)
+   installs neither hook and is the co-run, reported in the same layout as
+   every other node count. *)
 
 module Corun = Axmemo_multicore.Corun
 module Shared_lut = Axmemo_multicore.Shared_lut
@@ -544,6 +544,83 @@ let snapshots t =
               (Corun.cluster_snapshots nd))
           t.nodes))
 
+(* ---- the "cluster" report section --------------------------------------- *)
+
+let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
+
+(* Rendered from the live stats plus a settlement, so the serve layer can
+   attach it without building a full outcome. *)
+let section (t : t) ~settled =
+  let cfg = t.cfg and st = t.st and net = settled.net in
+  Json.Obj
+    ([
+       ("nodes", Json.Int cfg.nodes);
+       ("cores_per_node", Json.Int cfg.node.Corun.ncores);
+       ( "shard_accesses",
+         Json.Arr (Array.to_list (Array.map (fun n -> Json.Int n) st.shard_accesses)) );
+       ( "shard_balance_jain",
+         Json.Float (Schedule.jain_fairness (Array.map float_of_int st.shard_accesses)) );
+       ("remote_probes", Json.Int st.remote_probes);
+       ("remote_hits", Json.Int st.remote_hits);
+       ("remote_inserts", Json.Int st.remote_inserts);
+       ( "replication",
+         Json.Obj
+           [
+             ("threshold", Json.Int cfg.replicate_threshold);
+             ("installs", Json.Int st.replica_installs);
+             ("hits", Json.Int st.replica_hits);
+             ("invalidations", Json.Int st.replica_invalidations);
+             ( "hit_share",
+               Json.Float (ratio st.replica_hits (st.replica_hits + st.remote_hits)) );
+             ("l3_batch_amortised_activations", Json.Int st.replica_batch_amortised);
+             ("l3_batch_serial_activations", Json.Int st.replica_batch_serial);
+           ] );
+       ( "directory",
+         Json.Obj
+           [
+             ("enabled", Json.Bool cfg.directory);
+             ("events", Json.Int st.inv_events);
+             ("sent", Json.Int st.inv_sent);
+             ("filtered", Json.Int st.inv_filtered);
+             (* the satellite-measured baseline to beat: a flat M x N-core
+                machine broadcasts every event to all other cores (the
+                corun.invalidate.* per-core counters), while the directory
+                coalesces to one message per sharer node *)
+             ( "broadcast_equivalent",
+               Json.Int (st.inv_events * ((cfg.nodes * cfg.node.Corun.ncores) - 1)) );
+             ( "node_broadcast_equivalent",
+               Json.Int (st.inv_events * (cfg.nodes - 1)) );
+           ] );
+       ( "net",
+         Json.Obj
+           [
+             ("messages", Json.Int st.net_messages);
+             ("hops", Json.Int st.net_hops);
+             ("msg_cycles", Json.Int cfg.net_msg_cycles);
+             ("ports", Json.Int cfg.net_ports);
+             ("hop_pj", Json.Float cfg.net_hop_pj);
+             ("net_pj", Json.Float (float_of_int st.net_hops *. cfg.net_hop_pj));
+             ("latency_cycles", Json.Int (Array.fold_left ( + ) 0 st.net_latency));
+             ("contended", Json.Int net.Arbiter.contended);
+             ( "stall_cycles",
+               Json.Int (Array.fold_left ( + ) 0 net.Arbiter.stall_cycles) );
+           ] );
+     ]
+    @
+    (* Restore accounting rides along only for warm-started runs, so cold
+       sections are not padded with zeros that mean "no restore happened". *)
+    if st.restore_entries = 0 then []
+    else
+      [
+        ( "restore",
+          Json.Obj
+            [
+              ("entries", Json.Int st.restore_entries);
+              ("amortised_activations", Json.Int st.restore_amortised);
+              ("serial_activations", Json.Int st.restore_serial);
+            ] );
+      ])
+
 (* ---- warm-LUT snapshots -------------------------------------------------
 
    Cluster capture prefixes each node's sections with "n<j>.". Restore
@@ -690,7 +767,8 @@ type core_summary = {
 (* End-of-run DRAM tier aggregate of one node. *)
 type l3_summary = { stats : Dram_lut.stats; occupancy : int; capacity : int }
 
-(* The node-level facts only the co-run layout prints. *)
+(* One node's arbitration, partitioning, fault and tier facts: the
+   report's node_summaries entry. *)
 type node_summary = {
   bank_accesses : int;  (* shared-LUT accesses through the bank arbiter *)
   bank_contended : int;
@@ -710,40 +788,26 @@ type outcome = {
   speedup : float;
   aggregate_hit_rate : float;
   fairness : float;  (* Jain over per-core finish cycles *)
-  shard_accesses : int array;
   shard_balance : float;  (* Jain over per-node homed accesses *)
   remote_probes : int;
   remote_hits : int;
-  remote_inserts : int;
   replica_installs : int;
   replica_hits : int;
-  replica_invalidations : int;
   replication_hit_share : float;  (* replica hits over all remote-homed hits *)
   inv_events : int;
   inv_sent : int;
   inv_filtered : int;
   inv_broadcast_equivalent : int;  (* events * (nodes * cores_per_node - 1) *)
   net_messages : int;
-  net_hops : int;
-  net_pj : float;  (* hops * net_hop_pj; reported beside, never inside, total_pj *)
-  net_latency_cycles : int;
-  net_contended : int;
-  net_stall_cycles : int;
   bank_stall_cycles : int;
   coherence_keys : int;
   coherence_divergent : int;
-  restore_entries : int;
-  restore_amortised : int;
-  restore_serial : int;
-  replica_batch_amortised : int;
-  replica_batch_serial : int;
   node_summaries : node_summary array;
+  cluster_section : Json.t;  (* the "cluster" report section, from the live stats *)
   snapshots : (string * Registry.snapshot) list;
   profiles : Profile.snapshot array option;  (* per global core *)
   messages : msg list;  (* send order, for the trace *)
 }
-
-let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
 (* The paper's no-coherence argument, measured across the whole cluster:
    (lut, key) pairs simultaneously valid in several SRAM structures, and
@@ -896,38 +960,26 @@ let run_keep ?(metrics = false) ?(profile = false) (cfg : config) =
       fairness =
         Schedule.jain_fairness
           (Array.map (fun c -> float_of_int c.finish_cycles) cores);
-      shard_accesses = Array.copy t.st.shard_accesses;
       shard_balance =
         Schedule.jain_fairness (Array.map float_of_int t.st.shard_accesses);
       remote_probes = t.st.remote_probes;
       remote_hits = t.st.remote_hits;
-      remote_inserts = t.st.remote_inserts;
       replica_installs = t.st.replica_installs;
       replica_hits = t.st.replica_hits;
-      replica_invalidations = t.st.replica_invalidations;
       replication_hit_share = ratio t.st.replica_hits (t.st.replica_hits + t.st.remote_hits);
       inv_events = t.st.inv_events;
       inv_sent = t.st.inv_sent;
       inv_filtered = t.st.inv_filtered;
       inv_broadcast_equivalent = t.st.inv_events * ((cfg.nodes * t.npc) - 1);
       net_messages = t.st.net_messages;
-      net_hops = t.st.net_hops;
-      net_pj = float_of_int t.st.net_hops *. cfg.net_hop_pj;
-      net_latency_cycles = Array.fold_left ( + ) 0 t.st.net_latency;
-      net_contended = settlement.net.Arbiter.contended;
-      net_stall_cycles = Array.fold_left ( + ) 0 settlement.net.Arbiter.stall_cycles;
       bank_stall_cycles =
         Array.fold_left
           (fun a s -> a + Array.fold_left ( + ) 0 s.Arbiter.stall_cycles)
           0 settlement.bank;
       coherence_keys = keys;
       coherence_divergent = divergent;
-      restore_entries = t.st.restore_entries;
-      restore_amortised = t.st.restore_amortised;
-      restore_serial = t.st.restore_serial;
-      replica_batch_amortised = t.st.replica_batch_amortised;
-      replica_batch_serial = t.st.replica_batch_serial;
       node_summaries;
+      cluster_section = section t ~settled:settlement;
       snapshots = snapshots t;
       profiles =
         (if profile then
@@ -946,149 +998,101 @@ let run ?metrics ?profile cfg = fst (run_keep ?metrics ?profile cfg)
 let run_matrix ?jobs ?(profile = false) cfgs =
   Pool.run ?jobs (fun cfg -> run ~metrics:true ~profile cfg) cfgs
 
-(* ---- the "cluster" report section --------------------------------------- *)
-
-(* Shared between run reports and the serve layer: everything here comes
-   from the live stats plus a settlement, so serve can attach the section
-   without building a full outcome. *)
-let section_fields ~(cfg : config) ~(st : stats) ~(net : Arbiter.settlement) =
-  [
-    ("nodes", Json.Int cfg.nodes);
-    ("cores_per_node", Json.Int cfg.node.Corun.ncores);
-    ( "shard_accesses",
-      Json.Arr (Array.to_list (Array.map (fun n -> Json.Int n) st.shard_accesses)) );
-    ( "shard_balance_jain",
-      Json.Float (Schedule.jain_fairness (Array.map float_of_int st.shard_accesses)) );
-    ("remote_probes", Json.Int st.remote_probes);
-    ("remote_hits", Json.Int st.remote_hits);
-    ("remote_inserts", Json.Int st.remote_inserts);
-    ( "replication",
-      Json.Obj
-        [
-          ("threshold", Json.Int cfg.replicate_threshold);
-          ("installs", Json.Int st.replica_installs);
-          ("hits", Json.Int st.replica_hits);
-          ("invalidations", Json.Int st.replica_invalidations);
-          ( "hit_share",
-            Json.Float (ratio st.replica_hits (st.replica_hits + st.remote_hits)) );
-          ("l3_batch_amortised_activations", Json.Int st.replica_batch_amortised);
-          ("l3_batch_serial_activations", Json.Int st.replica_batch_serial);
-        ] );
-    ( "directory",
-      Json.Obj
-        [
-          ("enabled", Json.Bool cfg.directory);
-          ("events", Json.Int st.inv_events);
-          ("sent", Json.Int st.inv_sent);
-          ("filtered", Json.Int st.inv_filtered);
-          (* the satellite-measured baseline to beat: a flat M x N-core
-             machine broadcasts every event to all other cores (the
-             corun.invalidate.* per-core counters), while the directory
-             coalesces to one message per sharer node *)
-          ( "broadcast_equivalent",
-            Json.Int (st.inv_events * ((cfg.nodes * cfg.node.Corun.ncores) - 1)) );
-          ( "node_broadcast_equivalent",
-            Json.Int (st.inv_events * (cfg.nodes - 1)) );
-        ] );
-    ( "net",
-      Json.Obj
-        [
-          ("messages", Json.Int st.net_messages);
-          ("hops", Json.Int st.net_hops);
-          ("msg_cycles", Json.Int cfg.net_msg_cycles);
-          ("ports", Json.Int cfg.net_ports);
-          ("hop_pj", Json.Float cfg.net_hop_pj);
-          ("net_pj", Json.Float (float_of_int st.net_hops *. cfg.net_hop_pj));
-          ("latency_cycles", Json.Int (Array.fold_left ( + ) 0 st.net_latency));
-          ("contended", Json.Int net.Arbiter.contended);
-          ( "stall_cycles",
-            Json.Int (Array.fold_left ( + ) 0 net.Arbiter.stall_cycles) );
-        ] );
-  ]
-  @
-  (* Restore accounting rides along only for warm-started runs, so cold
-     sections are not padded with zeros that mean "no restore happened". *)
-  if st.restore_entries = 0 then []
-  else
-    [
-      ( "restore",
-        Json.Obj
-          [
-            ("entries", Json.Int st.restore_entries);
-            ("amortised_activations", Json.Int st.restore_amortised);
-            ("serial_activations", Json.Int st.restore_serial);
-          ] );
-    ]
-
-let section (t : t) ~settled = Json.Obj (section_fields ~cfg:t.cfg ~st:t.st ~net:settled.net)
-
-let outcome_section o =
-  let st =
-    {
-      shard_accesses = o.shard_accesses;
-      remote_probes = o.remote_probes;
-      remote_hits = o.remote_hits;
-      remote_inserts = o.remote_inserts;
-      replica_installs = o.replica_installs;
-      replica_hits = o.replica_hits;
-      replica_invalidations = o.replica_invalidations;
-      inv_events = o.inv_events;
-      inv_sent = o.inv_sent;
-      inv_filtered = o.inv_filtered;
-      net_messages = o.net_messages;
-      net_hops = o.net_hops;
-      net_latency = [| o.net_latency_cycles |];
-      restore_entries = o.restore_entries;
-      restore_amortised = o.restore_amortised;
-      restore_serial = o.restore_serial;
-      replica_batch_amortised = o.replica_batch_amortised;
-      replica_batch_serial = o.replica_batch_serial;
-    }
-  in
-  let net =
-    {
-      Arbiter.accesses = o.net_messages;
-      contended = o.net_contended;
-      stall_cycles = [| o.net_stall_cycles |];
-      retried = [| o.net_contended |];
-      tag_stalls = [];
-    }
-  in
-  Json.Obj (section_fields ~cfg:o.cfg ~st ~net)
-
 (* ---- reports ------------------------------------------------------------ *)
 
-let core_summary_json c =
+(* [profiles] is the outcome's per-global-core array: a profiled run embeds
+   each core's own snapshot next to its counters. *)
+let core_summary_json profiles c =
+  let lo, hi = c.way_range in
   Json.Obj
-    [
-      ("gcore", Json.Int c.gcore);
-      ("node", Json.Int c.node);
-      ("core", Json.Int c.core);
-      ("served", Json.Int c.served);
-      ("busy_cycles", Json.Int c.busy_cycles);
-      ("bank_stall_cycles", Json.Int c.bank_stall_cycles);
-      ("net_stall_cycles", Json.Int c.net_stall_cycles);
-      ("net_latency_cycles", Json.Int c.net_latency_cycles);
-      ("finish_cycles", Json.Int c.finish_cycles);
-      ("lookups", Json.Int c.lookups);
-      ("hits", Json.Int c.hits);
-      ("hit_rate", Json.Float c.hit_rate);
-      ("baseline_cycles", Json.Int c.baseline_cycles);
-      ("speedup", Json.Float c.speedup);
-    ]
+    ([
+       ("gcore", Json.Int c.gcore);
+       ("node", Json.Int c.node);
+       ("core", Json.Int c.core);
+       ("served", Json.Int c.served);
+       ("busy_cycles", Json.Int c.busy_cycles);
+       ("bank_stall_cycles", Json.Int c.bank_stall_cycles);
+       ("net_stall_cycles", Json.Int c.net_stall_cycles);
+       ("net_latency_cycles", Json.Int c.net_latency_cycles);
+       ("finish_cycles", Json.Int c.finish_cycles);
+       ("lookups", Json.Int c.lookups);
+       ("hits", Json.Int c.hits);
+       ("hit_rate", Json.Float c.hit_rate);
+       ("baseline_cycles", Json.Int c.baseline_cycles);
+       ("speedup", Json.Float c.speedup);
+       ("retried", Json.Int c.retried);
+       ("way_lo", Json.Int lo);
+       ("way_hi", Json.Int hi);
+       ("shadow_hits", Json.Int c.shadow_hits);
+     ]
+    @
+    match profiles with
+    | Some ps -> [ ("profile", Profile.to_json ps.(c.gcore)) ]
+    | None -> [])
+
+(* The "faults" and "l3" blocks appear only on nodes configured with them. *)
+let node_summary_json n =
+  Json.Obj
+    ([
+       ("shared_accesses", Json.Int n.bank_accesses);
+       ("contended_accesses", Json.Int n.bank_contended);
+       ("contention_pj", Json.Float n.contention_pj);
+       ("repartitions", Json.Int n.repartitions);
+       ("shared_occupancy", Json.Int n.shared_occupancy);
+     ]
+    @ (match n.faults with
+      | None -> []
+      | Some s ->
+          [
+            ( "faults",
+              Json.Obj
+                [
+                  ("injected", Json.Int s.Injector.injected_total);
+                  ("sdc_hits", Json.Int s.Injector.sdc_hits);
+                  ("parity_detected", Json.Int s.Injector.parity_detected);
+                  ("secded_corrected", Json.Int s.Injector.secded_corrected);
+                  ("secded_detected", Json.Int s.Injector.secded_detected);
+                  ("tag_aliases", Json.Int s.Injector.tag_aliases);
+                ] );
+          ])
+    @
+    match n.l3 with
+    | None -> []
+    | Some { stats = s; occupancy; capacity } ->
+        [
+          ( "l3",
+            Json.Obj
+              [
+                ("probes", Json.Int s.Dram_lut.probes);
+                ("hits", Json.Int s.Dram_lut.hits);
+                ("misses", Json.Int s.Dram_lut.misses);
+                ("spills", Json.Int s.Dram_lut.inserts);
+                ("evictions", Json.Int s.Dram_lut.evictions);
+                ("row_activations", Json.Int s.Dram_lut.row_activations);
+                ("row_hits", Json.Int s.Dram_lut.row_hits);
+                ("corrupted_reads", Json.Int s.Dram_lut.corrupted_reads);
+                ("occupancy", Json.Int occupancy);
+                ("capacity", Json.Int capacity);
+              ] );
+        ])
 
 let schedule_head_rows = 24
 
 let outcome_json o =
+  let node = o.cfg.node in
   let head = List.filteri (fun i _ -> i < schedule_head_rows) o.requests in
   Json.Obj
     [
       ("label", Json.Str (label o.cfg));
       ("nodes", Json.Int o.cfg.nodes);
-      ("cores_per_node", Json.Int o.cfg.node.Corun.ncores);
-      ( "workloads",
-        Json.Arr (List.map (fun w -> Json.Str w) o.cfg.node.Corun.workloads) );
-      ("requests", Json.Int o.cfg.node.Corun.requests);
+      ("cores_per_node", Json.Int node.Corun.ncores);
+      ("partition", Json.Str (Shared_lut.partition_name node.Corun.partition));
+      ("l1_bytes", Json.Int node.Corun.l1_bytes);
+      ("shared_l2_bytes", Json.Int node.Corun.shared_l2_bytes);
+      ("banks", Json.Int node.Corun.banks);
+      ("ports", Json.Int node.Corun.ports);
+      ("workloads", Json.Arr (List.map (fun w -> Json.Str w) node.Corun.workloads));
+      ("requests", Json.Int node.Corun.requests);
       ("makespan_cycles", Json.Int o.makespan_cycles);
       ("throughput_rps", Json.Float o.throughput_rps);
       ("speedup", Json.Float o.speedup);
@@ -1097,8 +1101,11 @@ let outcome_json o =
       ("coherence_keys", Json.Int o.coherence_keys);
       ("coherence_divergent", Json.Int o.coherence_divergent);
       ("bank_stall_cycles", Json.Int o.bank_stall_cycles);
-      ("cluster", outcome_section o);
-      ("cores", Json.Arr (Array.to_list (Array.map core_summary_json o.cores)));
+      ( "node_summaries",
+        Json.Arr (Array.to_list (Array.map node_summary_json o.node_summaries)) );
+      ("cluster", o.cluster_section);
+      ( "cores",
+        Json.Arr (Array.to_list (Array.map (core_summary_json o.profiles) o.cores)) );
       ( "schedule_head",
         Json.Arr
           (List.map
@@ -1116,8 +1123,9 @@ let default_series_cap = 32
 (* One report row per outcome: per-node registries are merged into the row
    with an n<j>. name prefix (names stay disjoint, so the re-sorted union
    keeps every series), the "cluster" section carries the shard/directory/
-   net story, and the profile is the merge of every core's collector. *)
-let report_runs ?(series_cap = default_series_cap) outcomes =
+   net story, and the profile is the merge of every core's collector
+   (a pointwise sum in core order, so byte-identical for any --jobs). *)
+let report_runs outcomes =
   List.map
     (fun o ->
       let metrics =
@@ -1140,196 +1148,28 @@ let report_runs ?(series_cap = default_series_cap) outcomes =
             ("fairness", Json.Float o.fairness);
             ("shard_balance_jain", Json.Float o.shard_balance);
           ];
-        metrics = Registry.decimate ~cap:series_cap metrics;
+        metrics = Registry.decimate ~cap:default_series_cap metrics;
         profile =
           Option.map
             (fun ps -> Profile.to_json (Profile.merge (Array.to_list ps)))
             o.profiles;
         service = None;
-        cluster = Some (outcome_section o);
+        cluster = Some o.cluster_section;
         timeline = None;
         alerts = None;
       })
     outcomes
 
-(* Either layout: the run rows, the root seed, and one [key] array entry
-   per outcome. *)
-let make_report ~key outcome_json runs outcomes =
+let report outcomes =
   Report.make
     ~extra:
       [
         ("root_seed", Json.Str (Int64.to_string (Rng.root_seed ())));
-        (key, Json.Arr (List.map outcome_json outcomes));
+        ("cluster", Json.Arr (List.map outcome_json outcomes));
       ]
-    runs
+    (report_runs outcomes)
 
-let report ?series_cap outcomes =
-  make_report ~key:"cluster" outcome_json (report_runs ?series_cap outcomes) outcomes
-
-let write_report ?series_cap path outcomes =
-  Json.write_file ~indent:2 path (report ?series_cap outcomes)
-
-(* ---- the co-run layout ---------------------------------------------------
-
-   A 1-node cluster is the co-run, and its report keeps the co-run's own
-   layout: the node's config and arbitration/partitioning facts, per-core
-   way ranges and shadow hits, and one run row per registry under the
-   node's own names (core<i>, cluster) rather than the n0. prefix. *)
-
-let the_node o =
-  if o.cfg.nodes <> 1 then
-    invalid_arg
-      (Printf.sprintf "Cluster: the co-run layout renders 1-node outcomes (got %d nodes)"
-         o.cfg.nodes);
-  o.node_summaries.(0)
-
-let corun_core_json (c : core_summary) =
-  let lo, hi = c.way_range in
-  Json.Obj
-    [
-      ("core", Json.Int c.core);
-      ("served", Json.Int c.served);
-      ("busy_cycles", Json.Int c.busy_cycles);
-      ("contention_cycles", Json.Int c.bank_stall_cycles);
-      ("retried", Json.Int c.retried);
-      ("finish_cycles", Json.Int c.finish_cycles);
-      ("lookups", Json.Int c.lookups);
-      ("hits", Json.Int c.hits);
-      ("hit_rate", Json.Float c.hit_rate);
-      ("baseline_cycles", Json.Int c.baseline_cycles);
-      ("speedup", Json.Float c.speedup);
-      ("way_lo", Json.Int lo);
-      ("way_hi", Json.Int hi);
-      ("shadow_hits", Json.Int c.shadow_hits);
-    ]
-
-let corun_outcome_json o =
-  let n = the_node o in
-  let cfg = o.cfg.node in
-  let head = List.filteri (fun i _ -> i < schedule_head_rows) o.requests in
-  (* The "l3" block appears only for tier-configured runs. *)
-  let l3_fields =
-    match n.l3 with
-    | None -> []
-    | Some { stats = s; occupancy; capacity } ->
-        [
-          ( "l3",
-            Json.Obj
-              [
-                ("probes", Json.Int s.Dram_lut.probes);
-                ("hits", Json.Int s.Dram_lut.hits);
-                ("misses", Json.Int s.Dram_lut.misses);
-                ("spills", Json.Int s.Dram_lut.inserts);
-                ("evictions", Json.Int s.Dram_lut.evictions);
-                ("row_activations", Json.Int s.Dram_lut.row_activations);
-                ("row_hits", Json.Int s.Dram_lut.row_hits);
-                ("corrupted_reads", Json.Int s.Dram_lut.corrupted_reads);
-                ("occupancy", Json.Int occupancy);
-                ("capacity", Json.Int capacity);
-              ] );
-        ]
-  in
-  Json.Obj
-    ([
-       ("label", Json.Str (Corun.label cfg));
-       ("ncores", Json.Int cfg.Corun.ncores);
-       ("partition", Json.Str (Shared_lut.partition_name cfg.Corun.partition));
-       ("l1_bytes", Json.Int cfg.Corun.l1_bytes);
-       ("shared_l2_bytes", Json.Int cfg.Corun.shared_l2_bytes);
-       ("banks", Json.Int cfg.Corun.banks);
-       ("ports", Json.Int cfg.Corun.ports);
-       ("workloads", Json.Arr (List.map (fun w -> Json.Str w) cfg.Corun.workloads));
-       ("requests", Json.Int cfg.Corun.requests);
-       ("makespan_cycles", Json.Int o.makespan_cycles);
-       ("throughput_rps", Json.Float o.throughput_rps);
-       ("speedup", Json.Float o.speedup);
-       ("aggregate_hit_rate", Json.Float o.aggregate_hit_rate);
-       ("fairness", Json.Float o.fairness);
-       ("shared_accesses", Json.Int n.bank_accesses);
-       ("contended_accesses", Json.Int n.bank_contended);
-       ("contention_cycles", Json.Int o.bank_stall_cycles);
-       ("contention_pj", Json.Float n.contention_pj);
-       ("repartitions", Json.Int n.repartitions);
-       ("shared_occupancy", Json.Int n.shared_occupancy);
-       ("coherence_keys", Json.Int o.coherence_keys);
-       ("coherence_divergent", Json.Int o.coherence_divergent);
-       ("cores", Json.Arr (Array.to_list (Array.map corun_core_json o.cores)));
-       ( "schedule_head",
-         Json.Arr
-           (List.map
-              (fun r ->
-                Json.Str
-                  (Printf.sprintf "r%d %s core%d [%d..%d] hit=%.3f" r.rid r.workload
-                     r.gcore r.start r.finish r.result.Runner.hit_rate))
-              head) );
-       ( "schedule_rows_omitted",
-         Json.Int (max 0 (List.length o.requests - schedule_head_rows)) );
-       ( "faults",
-         match n.faults with
-         | None -> Json.Null
-         | Some s ->
-             Json.Obj
-               [
-                 ("injected", Json.Int s.Injector.injected_total);
-                 ("sdc_hits", Json.Int s.Injector.sdc_hits);
-                 ("parity_detected", Json.Int s.Injector.parity_detected);
-                 ("secded_corrected", Json.Int s.Injector.secded_corrected);
-                 ("secded_detected", Json.Int s.Injector.secded_detected);
-                 ("tag_aliases", Json.Int s.Injector.tag_aliases);
-               ] );
-     ]
-    @ l3_fields)
-
-(* The "cluster" row carries the merged (all-cores) profile; each "core<i>"
-   row carries its own. Merging per-core snapshots in core order is a
-   pointwise sum, so the report is byte-identical for any [--jobs]. *)
-let corun_profile_json o who =
-  match o.profiles with
-  | None -> None
-  | Some ps -> (
-      if who = "cluster" then Some (Profile.to_json (Profile.merge (Array.to_list ps)))
-      else
-        match Option.bind (strip_prefix ~prefix:"core" who) int_of_string_opt with
-        | Some i when i >= 0 && i < Array.length ps -> Some (Profile.to_json ps.(i))
-        | _ -> None)
-
-let corun_report_runs ?(series_cap = default_series_cap) ?(per_core = true) outcomes =
-  List.concat_map
-    (fun o ->
-      ignore (the_node o);
-      List.filter_map
-        (fun (who, snap) ->
-          match strip_prefix ~prefix:"n0." who with
-          | Some who when per_core || who = "cluster" ->
-              Some
-                {
-                  Report.benchmark = String.concat "+" o.cfg.node.Corun.workloads;
-                  config = Printf.sprintf "%s:%s" (Corun.label o.cfg.node) who;
-                  summary =
-                    [
-                      ("makespan_cycles", Json.Int o.makespan_cycles);
-                      ("throughput_rps", Json.Float o.throughput_rps);
-                      ("aggregate_hit_rate", Json.Float o.aggregate_hit_rate);
-                      ("fairness", Json.Float o.fairness);
-                    ];
-                  metrics = Registry.decimate ~cap:series_cap snap;
-                  profile = corun_profile_json o who;
-                  service = None;
-                  cluster = None;
-                  timeline = None;
-                  alerts = None;
-                }
-          | _ -> None)
-        o.snapshots)
-    outcomes
-
-let corun_report ?series_cap ?per_core outcomes =
-  make_report ~key:"corun" corun_outcome_json
-    (corun_report_runs ?series_cap ?per_core outcomes)
-    outcomes
-
-let write_corun_report ?series_cap ?per_core path outcomes =
-  Json.write_file ~indent:2 path (corun_report ?series_cap ?per_core outcomes)
+let write_report path outcomes = Json.write_file ~indent:2 path (report outcomes)
 
 (* ---- the message trace --------------------------------------------------
 

@@ -24,9 +24,10 @@
     through {!run}, open-loop ones through the serve layer's calls to
     {!create}, {!exec_request} and {!settle}. Each node is a
     {!Corun.cluster}; a 1-node cluster installs neither the routing port
-    nor the directory hook, so it is the co-run, and its report keeps the
-    co-run layout ({!corun_report}). A 1-core, 1-node free-for-all run of
-    a single workload reproduces [Runner.run (Hw_memo ...)] bit for bit. *)
+    nor the directory hook, so it is the co-run, reported through the same
+    {!report} as every other node count. A 1-core, 1-node free-for-all run
+    of a single workload reproduces [Runner.run (Hw_memo ...)] bit for
+    bit. *)
 
 module Corun = Axmemo_multicore.Corun
 
@@ -200,7 +201,8 @@ type node_summary = {
   faults : Axmemo_faults.Injector.stats option;
       (** [None] unless the config asked for faults *)
 }
-(** The node-level facts the co-run layout prints. *)
+(** One node's shared-LUT arbitration, partitioning, fault and DRAM-tier
+    facts: its entry in the report's ["node_summaries"] array. *)
 
 type outcome = {
   cfg : config;
@@ -211,14 +213,11 @@ type outcome = {
   speedup : float;
   aggregate_hit_rate : float;
   fairness : float;  (** Jain over per-core finish cycles *)
-  shard_accesses : int array;  (** shared-level accesses homed per node *)
-  shard_balance : float;  (** Jain over [shard_accesses] *)
+  shard_balance : float;  (** Jain over the shared-level accesses homed per node *)
   remote_probes : int;
   remote_hits : int;
-  remote_inserts : int;
   replica_installs : int;
   replica_hits : int;
-  replica_invalidations : int;
   replication_hit_share : float;
       (** replica hits over all remote-homed hits (replica + probe) *)
   inv_events : int;  (** retired invalidate instructions *)
@@ -230,22 +229,16 @@ type outcome = {
           [corun.invalidate.*] baseline); the directory coalesces to one
           message per sharer node and filters non-sharers on top *)
   net_messages : int;
-  net_hops : int;  (** link traversals, probe responses included *)
-  net_pj : float;  (** [net_hops * net_hop_pj]; beside, not in, total_pj *)
-  net_latency_cycles : int;
-  net_contended : int;
-  net_stall_cycles : int;
   bank_stall_cycles : int;
   coherence_keys : int;
       (** (lut, key) pairs simultaneously valid in several SRAM structures
           cluster-wide (DRAM tiers excluded: approximate by contract) *)
   coherence_divergent : int;  (** the subset holding diverging payloads *)
-  restore_entries : int;
-  restore_amortised : int;  (** DRAM row activations, batched restore *)
-  restore_serial : int;  (** an entry-at-a-time replay's cost *)
-  replica_batch_amortised : int;  (** same accounting, replica L3 copies *)
-  replica_batch_serial : int;
   node_summaries : node_summary array;  (** node order *)
+  cluster_section : Axmemo_util.Json.t;
+      (** the ["cluster"] report section ({!section}), rendered from the
+          live stats at the end of the run: shard and remote traffic,
+          replication, directory, interconnect and restore accounting *)
   snapshots : (string * Axmemo_telemetry.Registry.snapshot) list;
   profiles : Axmemo_obs.Profile.snapshot array option;  (** per global core *)
   messages : msg list;  (** send order, for the trace *)
@@ -283,47 +276,24 @@ val run_matrix : ?jobs:int -> ?profile:bool -> config list -> outcome list
 (** {1 Reports and traces} *)
 
 val default_series_cap : int
+(** 32: the series length report rows are decimated to. *)
 
-val report_runs :
-  ?series_cap:int -> outcome list -> Axmemo_telemetry.Report.run list
+val report_runs : outcome list -> Axmemo_telemetry.Report.run list
 (** One run row per outcome: per-node registries merged under ["n<j>."]
     name prefixes, the ["cluster"] section attached (regression-gated as
     [cluster.<path>] by [Obs.Diff]), profiles merged across all cores. *)
 
-val report : ?series_cap:int -> outcome list -> Axmemo_util.Json.t
-(** Schema-v1 report; extra fields: [root_seed] and the full per-outcome
-    ["cluster"] array (cores, schedule head, message accounting). *)
+val report : outcome list -> Axmemo_util.Json.t
+(** Schema-v1 report over {!report_runs}; extra fields: [root_seed] and
+    one ["cluster"] array entry per outcome — the node config (cores,
+    LUT sizes, partition, banks, ports), aggregates, coherence counts,
+    one ["node_summaries"] entry per node (bank arbitration,
+    repartitioning, occupancy, and the ["faults"] and ["l3"] blocks only
+    on nodes configured with them), the ["cluster"] section, per-core
+    counters with way ranges, retries, shadow hits and, on profiled runs,
+    each core's ["profile"], and the schedule head. *)
 
-val write_report : ?series_cap:int -> string -> outcome list -> unit
-
-(** {2 The co-run layout}
-
-    A second renderer over the same outcomes, for 1-node clusters: the
-    layout [axmemo corun] and the bench [corun] experiment write. Each
-    raises [Invalid_argument] on an outcome with more than one node. *)
-
-val corun_report_runs :
-  ?series_cap:int ->
-  ?per_core:bool ->
-  outcome list ->
-  Axmemo_telemetry.Report.run list
-(** One row per registry, under the node's own names: [<label>:core<i>]
-    and [<label>:cluster], where the label is {!Corun.label} of the node
-    config. Series are decimated to [series_cap]. [~per_core:false] keeps
-    only the [cluster] rows, so a big matrix can ship a small report. With
-    profiles, each [core<i>] row embeds that core's ["profile"] section
-    and the [cluster] row the {!Axmemo_obs.Profile.merge} of all of them. *)
-
-val corun_report :
-  ?series_cap:int -> ?per_core:bool -> outcome list -> Axmemo_util.Json.t
-(** Schema-v1 report over {!corun_report_runs}; extra fields: [root_seed]
-    and the per-outcome ["corun"] array — node config, aggregates, bank
-    arbitration and repartitioning, occupancy, coherence counts, per-core
-    way ranges and shadow hits, the schedule head, fault stats and (only
-    for tier-configured runs) the ["l3"] block. *)
-
-val write_corun_report :
-  ?series_cap:int -> ?per_core:bool -> string -> outcome list -> unit
+val write_report : string -> outcome list -> unit
 
 val trace : outcome -> Axmemo_telemetry.Tracer.t
 (** Chrome-trace with one row per node's NIC: each message is a span from

@@ -16,7 +16,3 @@ val software_instructions : input_bytes:int -> int
 
 val software_setup_instructions : int
 (** Fixed per-invocation overhead (register init, final mask/index). *)
-
-val hardware_cycles_per_byte : int
-(** Cycles the hardware unit needs per input byte (1, Table 4), hidden from
-    the CPU unless the input queue is full. *)

@@ -78,14 +78,6 @@ let find_func p name =
   | Some f -> f
   | None -> raise Not_found
 
-let find_block f label =
-  let rec go i =
-    if i >= Array.length f.blocks then raise Not_found
-    else if f.blocks.(i).label = label then i
-    else go (i + 1)
-  in
-  go 0
-
 let ty_size = function I32 | F32 -> 4 | I64 | F64 -> 8
 
 let instr_dst = function

@@ -107,10 +107,6 @@ val find_func : program -> string -> func
 (** [find_func p name] returns the function named [name].
     @raise Not_found if absent. *)
 
-val find_block : func -> string -> int
-(** [find_block f label] is the index of the block labelled [label].
-    @raise Not_found if absent. *)
-
 val ty_size : ty -> int
 (** [ty_size ty] is the size in bytes (4 or 8). *)
 

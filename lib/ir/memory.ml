@@ -65,5 +65,3 @@ let store t (ty : Ir.ty) addr (v : Ir.value) =
   | F64, VF x -> store_f64 t addr x
   | (I32 | I64), VF _ | (F32 | F64), VI _ ->
       invalid_arg "Memory.store: value kind does not match type"
-
-let used_bytes t = t.brk

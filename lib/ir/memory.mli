@@ -32,6 +32,3 @@ val load_i32 : t -> int -> int32
 val store_i32 : t -> int -> int32 -> unit
 val load_i64 : t -> int -> int64
 val store_i64 : t -> int -> int64 -> unit
-
-val used_bytes : t -> int
-(** High-water mark of the allocator. *)

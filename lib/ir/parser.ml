@@ -456,13 +456,6 @@ let parse_functions text =
   in
   funcs [] lines
 
-let parse_func text =
-  match parse_functions text with
-  | [ f ] -> Ok f
-  | [] -> Error { line = 1; message = "no function found" }
-  | _ -> Error { line = 1; message = "expected exactly one function" }
-  | exception Parse (line, message) -> Error { line; message }
-
 let parse_program text =
   match parse_functions text with
   | [] -> Error { line = 1; message = "empty program" }

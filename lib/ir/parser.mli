@@ -31,10 +31,6 @@ val parse_program : string -> (Ir.program, error) result
 (** [parse_program text] parses a whole program (one or more functions). The
     result is structurally validated with {!Ir.validate}. *)
 
-val parse_func : string -> (Ir.func, error) result
-(** [parse_func text] parses a single function (validation is up to the
-    caller, since calls may reference functions defined elsewhere). *)
-
 val roundtrip : Ir.program -> (Ir.program, error) result
 (** [roundtrip p] prints and re-parses [p] — used by tests to pin the
     printer/parser correspondence. *)

@@ -926,8 +926,6 @@ let invalidate_remote t ~lut = Lut.invalidate_lut t.l1 ~lut_id:lut
 
 let l1_holds t ~lut = Lut.holds_lut t.l1 ~lut_id:lut
 
-let l1_invalidate_entry t ~lut ~key = Lut.invalidate_entry t.l1 ~lut_id:lut ~key
-
 let hooks ?(tid = 0) t : Interp.memo_hooks =
   {
     send = (fun ~lut ~ty ~trunc v -> send ~tid t ~lut ~ty ~trunc v);
@@ -1003,7 +1001,6 @@ let flush_metrics t =
 
 let l1_ways t = Lut.ways t.l1
 let l1_lut t = t.l1
-let l2_lut t = t.l2
 
 let lut_entries t =
   Lut.entries t.l1 @ (match t.l2 with Some l2 -> Lut.entries l2 | None -> [])

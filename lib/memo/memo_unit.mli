@@ -198,10 +198,6 @@ val l1_holds : t -> lut:int -> bool
 (** Whether this core's private L1 holds any entry of [lut] — lets the
     invalidate broadcast count delivered vs filtered receivers. *)
 
-val l1_invalidate_entry : t -> lut:int -> key:int64 -> bool
-(** Drop one [(lut, key)] entry from the private L1 if present (a cluster
-    directory invalidating a stale replica); [true] if dropped. *)
-
 val attach_l3 : t -> l3_port -> unit
 (** Attach the DRAM tier. Extends the last {e private} SRAM level's evict
     hook with [t3_spill] (a unit backed by a cluster-shared L2 spills at the
@@ -247,9 +243,6 @@ val l1_ways : t -> int
 
 val l1_lut : t -> Lut.t
 (** The private L1 LUT — the snapshot layer's capture/restore handle. *)
-
-val l2_lut : t -> Lut.t option
-(** The private L2 LUT, when configured. *)
 
 val extra_truncation : t -> lut_id:int -> int
 (** Current adaptive extra-truncation level for one LUT (0 when the unit is

@@ -549,7 +549,3 @@ let restore_snapshot_stats (cluster : cluster) (snap : Snapshot.t) =
       serial := sr
   | _ -> ());
   (!restored, !amortised, !serial)
-
-let restore_snapshot (cluster : cluster) (snap : Snapshot.t) =
-  let restored, _amortised, _serial = restore_snapshot_stats cluster snap in
-  restored

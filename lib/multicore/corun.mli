@@ -125,21 +125,18 @@ val capture_snapshot : cluster -> Axmemo_tier.Snapshot.t
     attached), each ordered oldest-first so a restore reproduces recency
     state. Deterministic for a deterministic run. *)
 
-val restore_snapshot : cluster -> Axmemo_tier.Snapshot.t -> int
-(** Replay a snapshot's sections into a freshly created cluster (before any
-    request runs); returns the number of entries restored. Sections that
-    do not match the cluster's shape (extra cores, an [l3] section with no
-    tier attached) are skipped, so a snapshot from a wider configuration
-    degrades gracefully. Restoring draws no fault events and leaves
-    telemetry counters untouched. DRAM-tier sections go through
-    {!Axmemo_tier.Dram_lut.bulk_fill} (row-sorted batch warming; identical
-    final state). *)
-
 val restore_snapshot_stats : cluster -> Axmemo_tier.Snapshot.t -> int * int * int
-(** Like {!restore_snapshot} but also returns the DRAM tier's batch-warming
-    accounting: [(restored, amortised, serial)] row activations — what the
-    row-sorted fill cost vs an entry-at-a-time replay. Both are 0 when the
-    snapshot has no [l3] section or no tier is attached. *)
+(** Replay a snapshot's sections into a freshly created cluster (before any
+    request runs); returns [(restored, amortised, serial)]: the number of
+    entries restored and the DRAM tier's batch-warming accounting, in row
+    activations — what the row-sorted fill cost vs an entry-at-a-time
+    replay (both 0 when the snapshot has no [l3] section or no tier is
+    attached). Sections that do not match the cluster's shape (extra
+    cores, an [l3] section with no tier attached) are skipped, so a
+    snapshot from a wider configuration degrades gracefully. Restoring
+    draws no fault events and leaves telemetry counters untouched.
+    DRAM-tier sections go through {!Axmemo_tier.Dram_lut.bulk_fill}
+    (row-sorted batch warming; identical final state). *)
 
 (** {2 Driver access}
 

@@ -39,7 +39,6 @@ type t = {
   window_hits : int array;  (* shadow hit counters since the last repartition *)
   window_lookups : int array;
   shadow_hits : int array;  (* cumulative, for the report *)
-  shadow_lookups : int array;
   mutable accesses : int;  (* lookups since the last repartition *)
   mutable repartitions : int;
   mutable evict_opt : (lut_id:int -> key:int64 -> payload:int64 -> unit) option;
@@ -103,7 +102,6 @@ let create ?metrics ?faults ?(payload_bytes = 8) ?(policy = Lut.Lru) ~ncores ~si
     window_hits = Array.make ncores 0;
     window_lookups = Array.make ncores 0;
     shadow_hits = Array.make ncores 0;
-    shadow_lookups = Array.make ncores 0;
     accesses = 0;
     repartitions = 0;
     evict_opt;
@@ -139,11 +137,8 @@ let ways t = Lut.ways t.lut
 let set_of_key t key = Lut.set_of_key t.lut key
 let repartitions t = t.repartitions
 let shadow_hits t = Array.copy t.shadow_hits
-let shadow_lookups t = Array.copy t.shadow_lookups
 let occupancy t = Lut.occupancy t.lut
-let set_occupancies t = Lut.set_occupancies t.lut
 let entries t = Lut.entries t.lut
-let invalidate_all t = Lut.invalidate_all t.lut
 
 (* Utility-based repartition (the shadow-counter scheme): every [period]
    shared-LUT lookups, redistribute the ways in proportion to each core's
@@ -195,7 +190,6 @@ let repartition t =
   match t.telem with Some tl -> Registry.incr tl.repartitions_c | None -> ()
 
 let lookup t ~core ~lut_id ~key =
-  t.shadow_lookups.(core) <- t.shadow_lookups.(core) + 1;
   t.window_lookups.(core) <- t.window_lookups.(core) + 1;
   (match t.telem with Some tl -> Registry.incr tl.lookups_c | None -> ());
   let r = Lut.lookup t.lut ~lut_id ~key in
@@ -228,8 +222,6 @@ let invalidate_entry t ~lut_id ~key =
   (if dropped then
      match t.telem with Some tl -> Registry.incr tl.invalidations_c | None -> ());
   dropped
-
-let holds_lut t ~lut_id = Lut.holds_lut t.lut ~lut_id
 
 let flush_metrics t =
   match t.telem with

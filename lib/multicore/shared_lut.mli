@@ -65,9 +65,6 @@ val invalidate_entry : t -> lut_id:int -> key:int64 -> bool
     Counts a [lut.l2.invalidations] telemetry event only when something was
     dropped. *)
 
-val holds_lut : t -> lut_id:int -> bool
-(** Whether the shared level holds any entry of [lut_id]. *)
-
 val set_evict_observer :
   t -> (lut_id:int -> key:int64 -> full:bool -> unit) -> unit
 (** Install an eviction observer (the attribution profiler's residency
@@ -87,8 +84,6 @@ val lut : t -> Axmemo_memo.Lut.t
 (** The underlying storage, exposed for snapshot capture/restore only —
     mutating it directly bypasses partition bookkeeping. *)
 
-val invalidate_all : t -> unit
-
 val way_range : t -> core:int -> int * int
 (** The core's current allocation window (inclusive way indices). *)
 
@@ -101,9 +96,7 @@ val repartitions : t -> int
 val shadow_hits : t -> int array
 (** Cumulative per-core shared-level hits (a copy). *)
 
-val shadow_lookups : t -> int array
 val occupancy : t -> int
-val set_occupancies : t -> int array
 val entries : t -> (int * int64 * int64) list
 
 val flush_metrics : t -> unit

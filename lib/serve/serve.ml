@@ -40,9 +40,8 @@ let default_watch = { window_cycles = 0; rules = Alert.default_rules }
 type config = {
   cluster : Corun.config;
   nodes : int;
-      (* cluster nodes, each of shape cfg.cluster; one node keeps the
-         co-run's report rows (no "cluster" section, unprefixed registry
-         names) *)
+      (* cluster nodes, each of shape cfg.cluster; a one-node report row
+         has no "cluster" section and unprefixed registry names *)
   arrival : Arrival.kind;
   load : float;
       (* offered load as a fraction of cluster capacity: the arrival rate is
@@ -642,15 +641,13 @@ let service_json o =
     ]
     @ warm_fields)
 
-let default_series_cap = Cluster.default_series_cap
-
 (* One report row per outcome: the serve registry concatenated with the
    cluster registry (names are disjoint and the union re-sorted, keeping
    series — Registry.merge would drop them). sim_wall_seconds enters the
    summary only on request, so default reports stay byte-identical across
    machines and --jobs settings while the smoke artifact can still gate
    simulator throughput with a loose tolerance. *)
-let report_runs ?(series_cap = default_series_cap) ?(wall = false) outcomes =
+let report_runs ?(wall = false) outcomes =
   List.map
     (fun o ->
       let serve_snap = List.assoc "serve" o.snapshots in
@@ -689,7 +686,7 @@ let report_runs ?(series_cap = default_series_cap) ?(wall = false) outcomes =
             ("aggregate_hit_rate", Json.Float o.aggregate_hit_rate);
           ]
           @ (if wall then [ ("sim_wall_seconds", Json.Float o.sim_wall_seconds) ] else []);
-        metrics = Registry.decimate ~cap:series_cap metrics;
+        metrics = Registry.decimate ~cap:Cluster.default_series_cap metrics;
         profile = None;
         service = Some (service_json o);
         cluster = o.cluster_section;
@@ -701,8 +698,8 @@ let report_runs ?(series_cap = default_series_cap) ?(wall = false) outcomes =
       })
     outcomes
 
-let report ?series_cap ?wall outcomes =
-  let runs = report_runs ?series_cap ?wall outcomes in
+let report ?wall outcomes =
+  let runs = report_runs ?wall outcomes in
   let extra =
     [
       ("root_seed", Json.Str (Int64.to_string (Rng.root_seed ())));
@@ -711,7 +708,7 @@ let report ?series_cap ?wall outcomes =
   in
   Report.make ~extra runs
 
-let write_report ?series_cap ?wall path outcomes =
-  Json.write_file ~indent:2 path (report ?series_cap ?wall outcomes)
+let write_report ?wall path outcomes =
+  Json.write_file ~indent:2 path (report ?wall outcomes)
 
 let write_trace o path = Tracer.write o.tracer path

@@ -212,21 +212,20 @@ val service_json : outcome -> Axmemo_util.Json.t
     flattened by [Obs.Diff] as [service.<path>] metrics, so everything here
     is regression-gated. *)
 
-val default_series_cap : int
-
-val report_runs :
-  ?series_cap:int -> ?wall:bool -> outcome list -> Axmemo_telemetry.Report.run list
+val report_runs : ?wall:bool -> outcome list -> Axmemo_telemetry.Report.run list
 (** One report row per outcome: the serve registry concatenated with the
     cluster registry (disjoint names re-sorted; series survive, unlike
-    under [Registry.merge]) and the ["service"] section attached.
+    under [Registry.merge], decimated to
+    {!Axmemo_cluster.Cluster.default_series_cap}) and the ["service"]
+    section attached.
     [~wall:true] adds [sim_wall_seconds] to the summary — leave it off
     (default) wherever byte-identical reports matter. *)
 
-val report : ?series_cap:int -> ?wall:bool -> outcome list -> Axmemo_util.Json.t
+val report : ?wall:bool -> outcome list -> Axmemo_util.Json.t
 (** {!Axmemo_telemetry.Report.make} over {!report_runs}, with the root seed
     and the {!saturation} table as extra top-level fields. *)
 
-val write_report : ?series_cap:int -> ?wall:bool -> string -> outcome list -> unit
+val write_report : ?wall:bool -> string -> outcome list -> unit
 
 val write_trace : outcome -> string -> unit
 (** Save the outcome's request timeline as Chrome trace-event JSON. *)

@@ -289,10 +289,6 @@ let invalidate_lut t ~lut_id =
     end
   done
 
-let invalidate_all t =
-  Array.fill t.valid 0 (Array.length t.valid) false;
-  t.occupied <- 0
-
 let iter_entries t f =
   for row = 0 to t.nrows - 1 do
     let base = row * t.slots in

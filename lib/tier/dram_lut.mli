@@ -98,7 +98,6 @@ val insert : t -> lut_id:int -> key:int64 -> payload:int64 -> unit
     refreshed in place. *)
 
 val invalidate_lut : t -> lut_id:int -> unit
-val invalidate_all : t -> unit
 
 val iter_entries :
   t ->

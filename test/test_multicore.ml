@@ -2,8 +2,9 @@
    partitioning, utility repartitioning), the post-hoc bank/port arbiter,
    the request scheduler, cross-core invalidate broadcast, the 1-core
    bit-identity guarantee against the single-core runner, serial/parallel
-   report byte-identity, and the satellite guards (NaN-free ratios, bounded
-   report series, the per-domain CRC table cache). *)
+   report byte-identity, the node and core facts the cluster report
+   renders, and the satellite guards (NaN-free ratios, bounded report
+   series, the per-domain CRC table cache). *)
 
 module Shared_lut = Axmemo_multicore.Shared_lut
 module Arbiter = Axmemo_multicore.Arbiter
@@ -12,6 +13,9 @@ module Corun = Axmemo_multicore.Corun
 module Cluster = Axmemo_cluster.Cluster
 module Runner = Axmemo.Runner
 module Registry = Axmemo_telemetry.Registry
+module Profile = Axmemo_obs.Profile
+module Fault_model = Axmemo_faults.Fault_model
+module Dram_lut = Axmemo_tier.Dram_lut
 module Json = Axmemo_util.Json
 module W = Axmemo_workloads
 module Ir = Axmemo_ir.Ir
@@ -253,9 +257,94 @@ let test_matrix_jobs_byte_identical () =
       [ Shared_lut.Free_for_all; Shared_lut.Static ]
   in
   let render jobs =
-    Json.to_string ~indent:2 (Cluster.corun_report (Cluster.run_matrix ~jobs cfgs))
+    Json.to_string ~indent:2 (Cluster.report (Cluster.run_matrix ~jobs cfgs))
   in
   Alcotest.(check string) "jobs=1 == jobs=4" (render 1) (render 4)
+
+(* --- the report's node and core facts --- *)
+
+(* A co-run's arbitration, partitioning, fault and DRAM-tier facts reach
+   the report's top-level "cluster" entry: one node summary per node, and
+   per core its way range, retries, shadow hits and (profiled) profile. *)
+let test_report_node_and_core_facts () =
+  let node =
+    {
+      Corun.default with
+      ncores = 2;
+      partition = Shared_lut.Static;
+      workloads = [ "blackscholes"; "sobel" ];
+      requests = 4;
+      variant = W.Workload.Sample;
+      l1_bytes = 1024;
+      shared_l2_bytes = 4096;
+      l3 = Some { Dram_lut.default with size_bytes = 256 * 1024 };
+      faults =
+        Some
+          {
+            Fault_model.default with
+            rate = 1e-3;
+            sites = Fault_model.[ L2_tag; L2_payload; L2_valid; L2_lru ];
+          };
+    }
+  in
+  let o =
+    Cluster.run ~metrics:true ~profile:true { Cluster.default with nodes = 1; node }
+  in
+  let rec field path j =
+    match path with
+    | [] -> j
+    | key :: rest -> (
+        match Json.member key j with
+        | Some v -> field rest v
+        | None -> Alcotest.failf "report lacks %s" key)
+  in
+  let check_ints j =
+    List.iter (fun (path, want) ->
+        let name = String.concat "." path in
+        match field path j with
+        | Json.Int got -> Alcotest.(check int) name want got
+        | _ -> Alcotest.failf "%s is not an int" name)
+  in
+  let one_entry path j =
+    match field path j with
+    | Json.Arr [ e ] -> e
+    | _ -> Alcotest.failf "%s: expected one entry" (String.concat "." path)
+  in
+  let entry = one_entry [ "cluster" ] (Cluster.report [ o ]) in
+  let n = o.Cluster.node_summaries.(0) in
+  let ns = one_entry [ "node_summaries" ] entry in
+  let injected = (Option.get n.Cluster.faults).Axmemo_faults.Injector.injected_total in
+  let spills = (Option.get n.Cluster.l3).Cluster.stats.Dram_lut.inserts in
+  Alcotest.(check bool) "faults struck and the tier absorbed spills" true
+    (injected > 0 && spills > 0);
+  check_ints ns
+    [
+      ([ "shared_accesses" ], n.Cluster.bank_accesses);
+      ([ "repartitions" ], n.Cluster.repartitions);
+      ([ "shared_occupancy" ], n.Cluster.shared_occupancy);
+      ([ "faults"; "injected" ], injected);
+      ([ "l3"; "spills" ], spills);
+    ];
+  let profiles = Option.get o.Cluster.profiles in
+  match field [ "cores" ] entry with
+  | Json.Arr cores ->
+      Alcotest.(check int) "one entry per core" 2 (List.length cores);
+      List.iteri
+        (fun j cj ->
+          let c = o.Cluster.cores.(j) in
+          let lo, hi = c.Cluster.way_range in
+          check_ints cj
+            [
+              ([ "way_lo" ], lo);
+              ([ "way_hi" ], hi);
+              ([ "shadow_hits" ], c.Cluster.shadow_hits);
+              ([ "retried" ], c.Cluster.retried);
+            ];
+          Alcotest.(check string) "profile"
+            (Json.to_string (Profile.to_json profiles.(j)))
+            (Json.to_string (field [ "profile" ] cj)))
+        cores
+  | _ -> Alcotest.fail "cores is not an array"
 
 (* --- co-run behaviour --- *)
 
@@ -387,6 +476,8 @@ let () =
           Alcotest.test_case "1-core bit identity" `Quick test_single_core_bit_identity;
           Alcotest.test_case "jobs byte-identical" `Quick
             test_matrix_jobs_byte_identical;
+          Alcotest.test_case "report node and core facts" `Quick
+            test_report_node_and_core_facts;
           Alcotest.test_case "warm LUTs" `Quick test_warm_luts_accumulate;
           Alcotest.test_case "mix remap guards" `Quick test_mix_remap_rejects_overflow;
         ] );

@@ -236,7 +236,7 @@ let test_corun_profile_attribution () =
 let test_corun_profile_report_serial_parallel_identical () =
   let report jobs =
     Json.to_string ~indent:2
-      (Cluster.corun_report (Cluster.run_matrix ~jobs ~profile:true [ corun_cfg ]))
+      (Cluster.report (Cluster.run_matrix ~jobs ~profile:true [ corun_cfg ]))
   in
   check Alcotest.string "byte-identical corun report" (report 1) (report 4)
 

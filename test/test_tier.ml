@@ -396,7 +396,7 @@ let test_cluster_capture_restore () =
   Alcotest.(check bool) "captured something" true (Snapshot.total_entries snap > 0);
   (* Restoring into a fresh cluster replays every captured entry. *)
   let fresh = snd (corun_keep { l3_cfg with requests = 0 }) in
-  let restored = Corun.restore_snapshot fresh snap in
+  let restored, _, _ = Corun.restore_snapshot_stats fresh snap in
   Alcotest.(check int) "every entry restored" (Snapshot.total_entries snap) restored;
   (* And a re-capture of the restored cluster is byte-identical. *)
   Alcotest.(check string) "restored cluster re-captures identically"
@@ -412,7 +412,7 @@ let test_l3_absent_unchanged () =
   let has_l3 s = contains s "\"l3\"" in
   Alcotest.(check bool) "label silent" false (contains (Corun.label cfg) "l3");
   Alcotest.(check bool) "report json silent" false
-    (has_l3 (Json.to_string (Cluster.corun_report [ o ])))
+    (has_l3 (Json.to_string (Cluster.report [ o ])))
 
 (* --- serve warm start --------------------------------------------------- *)
 
