@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 6) from the simulator, plus a Bechamel micro mode
-   measuring the modelled hardware units themselves.
+   evaluation (Section 6) from the simulator, plus the perf smoke and the
+   gated smokes of the multi-core, serve, tier, cluster and watch layers.
+   Host time per layer is measured from outside the library by hostbench/.
 
    Usage:
      bench/main.exe                 run everything
@@ -10,7 +11,6 @@
      bench/main.exe --backend B     execution backend for the experiments:
                                     compiled (default) or interp (reference;
                                     bit-identical, just slower)
-     bench/main.exe --micro         Bechamel microbenchmarks (Table 5 units)
      bench/main.exe --perf-smoke    small fixed matrix; times BOTH backends
                                     serial + parallel, prints wall-clock +
                                     throughput and writes BENCH_PR1.json and
@@ -43,7 +43,6 @@ module Protection = Axmemo_faults.Protection
 module Shared_lut = Axmemo_multicore.Shared_lut
 module Corun = Axmemo_multicore.Corun
 module Serve = Axmemo_serve.Serve
-module Arrival = Axmemo_serve.Arrival
 module Cluster = Axmemo_cluster.Cluster
 module Timeline = Axmemo_watch.Timeline
 module Alert = Axmemo_watch.Alert
@@ -645,78 +644,9 @@ let ablation_adaptive () =
      the statically tuned levels.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro mode: wall-clock microbenchmarks of the modelled units,
-   one Test.make per synthesized unit of Table 5. *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let crc = Axmemo_crc.Engine.start Axmemo_crc.Poly.crc32 in
-  let crc_test =
-    Test.make ~name:"crc32-unit-4B"
-      (Staged.stage (fun () -> Axmemo_crc.Engine.feed_int64 crc ~width:4 0xDEADBEEFL))
-  in
-  let hash_reg_test =
-    Test.make ~name:"hash-register-read"
-      (Staged.stage (fun () -> Axmemo_crc.Engine.value crc))
-  in
-  let lut_test size =
-    let lut = Axmemo_memo.Lut.create ~size_bytes:size () in
-    for k = 0 to 999 do
-      Axmemo_memo.Lut.insert lut ~lut_id:0 ~key:(Int64.of_int k) ~payload:1L None
-    done;
-    let i = ref 0 in
-    Test.make
-      ~name:(Printf.sprintf "lut-%dkb-lookup" (size / 1024))
-      (Staged.stage (fun () ->
-           incr i;
-           ignore
-             (Axmemo_memo.Lut.lookup lut ~lut_id:0 ~key:(Int64.of_int (!i land 1023)))))
-  in
-  let unit =
-    Axmemo_memo.Memo_unit.create Axmemo_memo.Memo_unit.default_config
-      [ { Axmemo_memo.Memo_unit.lut_id = 0; payload = Axmemo_ir.Payload.Pf32 } ]
-  in
-  let hooks = Axmemo_memo.Memo_unit.hooks unit in
-  let j = ref 0 in
-  let roundtrip_test =
-    Test.make ~name:"memo-unit-roundtrip"
-      (Staged.stage (fun () ->
-           incr j;
-           hooks.send ~lut:0 ~ty:Axmemo_ir.Ir.F32 ~trunc:8
-             (Axmemo_ir.Ir.VF (float_of_int (!j land 255)));
-           match hooks.lookup ~lut:0 with
-           | Some _ -> ()
-           | None -> hooks.update ~lut:0 (Int64.of_int !j)))
-  in
-  let tests =
-    Test.make_grouped ~name:"units" ~fmt:"%s %s"
-      [
-        crc_test; hash_reg_test; lut_test 4096; lut_test 8192; lut_test 16384;
-        roundtrip_test;
-      ]
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  heading "Bechamel microbenchmarks (host wall-clock per run)";
-  Hashtbl.iter
-    (fun name ols_result ->
-      match Analyze.OLS.estimates ols_result with
-      | Some [ est ] -> Printf.printf "%-32s %10.2f ns/run\n" name est
-      | Some ests ->
-          Printf.printf "%-32s %s\n" name
-            (String.concat ", " (List.map (Printf.sprintf "%.2f") ests))
-      | None -> Printf.printf "%-32s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
-(* Perf smoke: a small fixed matrix timed serially and in parallel, plus a
-   direct measurement of the interpreter's allocation-free hook path against
-   the event-allocating legacy calling convention. Results go to stdout and
-   BENCH_PR1.json so the perf trajectory is tracked across PRs. *)
+(* Perf smoke: a small fixed matrix timed serially and in parallel on both
+   backends, plus one hooked blackscholes run per backend. Results go to
+   stdout and BENCH_PR1.json so the perf trajectory is tracked across PRs. *)
 
 let smoke_names = [ "blackscholes"; "inversek2j"; "sobel" ]
 let smoke_configs = [ Runner.Baseline; Runner.l1_8k; Runner.software_default ]
@@ -733,11 +663,10 @@ let wall f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* One baseline simulation of [name], timed, with either the flat hook
-   calling convention or the legacy per-event allocation, on either
-   execution backend. Same program, same pipeline model — the delta is the
-   execution hot path alone. *)
-let timed_interp_run ?backend ~flat name =
+(* One baseline simulation of [name] with the pipeline model hooked,
+   timed, on either execution backend. Same program, same pipeline model —
+   the delta is the execution hot path alone. *)
+let timed_interp_run ~backend name =
   let _, make = Option.get (W.Registry.find name) in
   let instance = make Workload.Eval in
   let hierarchy = Hierarchy.(create hpi_default) in
@@ -745,14 +674,9 @@ let timed_interp_run ?backend ~flat name =
     Axmemo_cpu.Pipeline.create ~program:instance.program ~hierarchy ()
   in
   let interp =
-    if flat then
-      Axmemo_ir.Interp.create ?backend
-        ~hooks:(Axmemo_cpu.Pipeline.hooks pipe)
-        ~program:instance.program ~mem:instance.mem ()
-    else
-      Axmemo_ir.Interp.create ?backend
-        ~hook:(Axmemo_cpu.Pipeline.hook pipe)
-        ~program:instance.program ~mem:instance.mem ()
+    Axmemo_ir.Interp.create ~backend
+      ~hooks:(Axmemo_cpu.Pipeline.hooks pipe)
+      ~program:instance.program ~mem:instance.mem ()
   in
   let (), dt = wall (fun () -> ignore (Interp.run interp instance.entry instance.args)) in
   (dt, Interp.steps interp)
@@ -790,14 +714,9 @@ let perf_smoke () =
     List.fold_left (fun acc (r : Runner.result) -> acc + r.dyn_normal + r.dyn_memo) 0 serial
   in
   let best f = List.fold_left (fun acc () -> min acc (f ())) infinity [ (); (); () ] in
-  let t_event =
-    best (fun () -> fst (timed_interp_run ~backend:`Interp ~flat:false "blackscholes"))
-  in
-  let t_flat =
-    best (fun () -> fst (timed_interp_run ~backend:`Interp ~flat:true "blackscholes"))
-  in
+  let t_flat = best (fun () -> fst (timed_interp_run ~backend:`Interp "blackscholes")) in
   let t_closure =
-    best (fun () -> fst (timed_interp_run ~backend:`Compiled ~flat:true "blackscholes"))
+    best (fun () -> fst (timed_interp_run ~backend:`Compiled "blackscholes"))
   in
   let throughput = float_of_int dyn /. t_serial /. 1e6 in
   let speedup = t_serial /. t_par in
@@ -817,9 +736,8 @@ let perf_smoke () =
     (t_ipar /. t_par) njobs;
   Printf.printf "bit-identical    %b serial/parallel, %b interp/compiled\n" identical
     backend_identical;
-  Printf.printf
-    "1-thread bs     %.3f s event-hook, %.3f s flat-hook, %.3f s compiled => %.2fx\n"
-    t_event t_flat t_closure (t_flat /. t_closure);
+  Printf.printf "1-thread bs     %.3f s flat-hook, %.3f s compiled => %.2fx\n" t_flat
+    t_closure (t_flat /. t_closure);
   let cell_benchmarks =
     List.concat_map (fun n -> List.map (fun _ -> n) smoke_configs) smoke_names
   in
@@ -931,10 +849,8 @@ let perf_smoke () =
       ("telemetry_identical", Json.Bool telem_identical);
       ("dynamic_instructions", Json.Int dyn);
       ("serial_minstr_per_sec", Json.Float throughput);
-      ("hook_event_seconds", Json.Float t_event);
       ("hook_flat_seconds", Json.Float t_flat);
       ("compiled_1t_seconds", Json.Float t_closure);
-      ("interp_fastpath_speedup", Json.Float (t_event /. t_flat));
       ("compiled_1t_speedup", Json.Float (t_flat /. t_closure));
     ]
   in
@@ -1112,6 +1028,28 @@ let corun_exp () =
 
 (* ------------------------------------------------------------------ *)
 
+(* The determinism contract the gated smokes share, checked where it is
+   cheapest to rerun: [outcomes] came from a parallel matrix, and [serial]
+   reruns it on one domain; both must render the same [report] byte for
+   byte. Writes [file] from [outcomes] either way, then exits nonzero on a
+   mismatch. *)
+let write_gated ~what ~file ~report ~serial outcomes =
+  let doc = report outcomes in
+  let identical = Json.to_string doc = Json.to_string (report (serial ())) in
+  Printf.printf "serial/parallel reports byte-identical: %b\n" identical;
+  Json.write_file ~indent:2 file doc;
+  Printf.printf "wrote %s\n" file;
+  if not identical then begin
+    Printf.eprintf "FATAL: %s reports differ between serial and parallel runs\n" what;
+    exit 1
+  end
+
+let write_serve_gated ~what ~file cfgs outcomes =
+  write_gated ~what ~file
+    ~report:(fun os -> Serve.report os)
+    ~serial:(fun () -> Serve.run_matrix ~jobs:1 cfgs)
+    outcomes
+
 (* Open-loop service study: the offered-load ramp over core count and two
    partition policies, Poisson arrivals into a bounded drop-tail queue.
    Checks the service model's headline claims — saturation throughput grows
@@ -1130,7 +1068,8 @@ let serve_cfgs () =
           List.map
             (fun load ->
               {
-                Serve.cluster =
+                Serve.default with
+                cluster =
                   {
                     Corun.default with
                     ncores;
@@ -1139,16 +1078,9 @@ let serve_cfgs () =
                     requests = 24;
                     variant = Workload.Sample;
                   };
-                nodes = 1;
-                arrival = Arrival.Poisson;
                 load;
                 queue_capacity = 8;
-                shed = Axmemo_multicore.Schedule.Drop_tail;
-                slo_cycles = 0;
-                warm_start = None;
-                watch = None;
-              }
-            )
+              })
             serve_loads)
         [ Shared_lut.Free_for_all; Shared_lut.Static ])
     [ 1; 2; 4 ]
@@ -1193,19 +1125,7 @@ let serve_exp () =
         s.Serve.sat_ncores s.Serve.sat_partition s.Serve.sat_load
         s.Serve.sat_throughput_rps s.Serve.peak_throughput_rps)
     (Serve.saturation outcomes);
-  (* The determinism contract, checked where it is cheapest to rerun: the
-     rendered report must not depend on the domain fan-out. *)
-  let serial = Serve.run_matrix ~jobs:1 cfgs in
-  let identical =
-    Json.to_string (Serve.report outcomes) = Json.to_string (Serve.report serial)
-  in
-  Printf.printf "serial/parallel reports byte-identical: %b\n" identical;
-  Serve.write_report "BENCH_SERVE.json" outcomes;
-  Printf.printf "wrote BENCH_SERVE.json\n";
-  if not identical then begin
-    Printf.eprintf "FATAL: serve reports differ between serial and parallel runs\n";
-    exit 1
-  end
+  write_serve_gated ~what:"serve" ~file:"BENCH_SERVE.json" cfgs outcomes
 
 (* ------------------------------------------------------------------ *)
 (* Tier smoke: the warm-restart loop end to end. A closed co-run with
@@ -1237,17 +1157,7 @@ let tier_cluster =
   }
 
 let tier_serve warm_start =
-  {
-    Serve.cluster = tier_cluster;
-    nodes = 1;
-    arrival = Arrival.Poisson;
-    load = 0.8;
-    queue_capacity = 8;
-    shed = Axmemo_multicore.Schedule.Drop_tail;
-    slo_cycles = 0;
-    warm_start;
-    watch = None;
-  }
+  { Serve.default with cluster = tier_cluster; queue_capacity = 8; warm_start }
 
 let tier_exp () =
   heading "Tier: DRAM L3 spill path and warm-restart snapshots";
@@ -1285,17 +1195,7 @@ let tier_exp () =
       outcomes
   in
   Table.print ~align:[ Left; Right; Right; Right; Right; Right ] ~header rows;
-  let serial = Serve.run_matrix ~jobs:1 cfgs in
-  let identical =
-    Json.to_string (Serve.report outcomes) = Json.to_string (Serve.report serial)
-  in
-  Printf.printf "serial/parallel reports byte-identical: %b\n" identical;
-  Serve.write_report "TIER_SMOKE.json" outcomes;
-  Printf.printf "wrote TIER_SMOKE.json\n";
-  if not identical then begin
-    Printf.eprintf "FATAL: tier reports differ between serial and parallel runs\n";
-    exit 1
-  end;
+  write_serve_gated ~what:"tier" ~file:"TIER_SMOKE.json" cfgs outcomes;
   match outcomes with
   | [ cold; warm ] ->
       Printf.printf "first-window hit rate: cold %.3f -> warm %.3f\n"
@@ -1375,19 +1275,9 @@ let cluster_exp () =
     ~align:
       [ Left; Right; Right; Right; Right; Right; Right; Right; Right; Right ]
     ~header rows;
-  let serial = Cluster.run_matrix ~jobs:1 cfgs in
-  let identical =
-    Json.to_string (Cluster.report outcomes)
-    = Json.to_string (Cluster.report serial)
-  in
-  Printf.printf "serial/parallel reports byte-identical: %b\n" identical;
-  Cluster.write_report "CLUSTER_SMOKE.json" outcomes;
-  Printf.printf "wrote CLUSTER_SMOKE.json\n";
-  if not identical then begin
-    Printf.eprintf
-      "FATAL: cluster reports differ between serial and parallel runs\n";
-    exit 1
-  end;
+  write_gated ~what:"cluster" ~file:"CLUSTER_SMOKE.json" ~report:Cluster.report
+    ~serial:(fun () -> Cluster.run_matrix ~jobs:1 cfgs)
+    outcomes;
   (match outcomes with
   | one :: two :: _ ->
       Printf.printf "scale-out: 1 node %.0f req/s -> 2 nodes %.0f req/s\n"
@@ -1431,12 +1321,13 @@ let cluster_exp () =
    it must stay quiet. Per-window deltas are checked to sum exactly to
    the end-of-run service aggregates, and the rendered report — timeline
    and alert sections included — must be byte-identical between serial
-   and parallel matrices before WATCH_SMOKE.json is written (no wall
-   fields, so the diff gate is exact). *)
+   and parallel matrices. WATCH_SMOKE.json has no wall fields, so the diff
+   gate is exact. *)
 
 let watch_serve load =
   {
-    Serve.cluster =
+    Serve.default with
+    cluster =
       {
         Corun.default with
         ncores = 2;
@@ -1449,13 +1340,7 @@ let watch_serve load =
            2.0 is effective utilization ~0.2 and nothing ever queues. *)
         variant = Workload.Eval;
       };
-    nodes = 1;
-    arrival = Arrival.Poisson;
     load;
-    queue_capacity = 16;
-    shed = Axmemo_multicore.Schedule.Drop_tail;
-    slo_cycles = 0;
-    warm_start = None;
     watch = Some Serve.default_watch;
   }
 
@@ -1507,17 +1392,7 @@ let watch_exp () =
   | _ ->
       Printf.eprintf "FATAL: expected the low/high load twin outcomes\n";
       exit 1);
-  let serial = Serve.run_matrix ~jobs:1 cfgs in
-  let identical =
-    Json.to_string (Serve.report outcomes) = Json.to_string (Serve.report serial)
-  in
-  Printf.printf "serial/parallel reports byte-identical: %b\n" identical;
-  if not identical then begin
-    Printf.eprintf "FATAL: watch reports differ between serial and parallel runs\n";
-    exit 1
-  end;
-  Serve.write_report "WATCH_SMOKE.json" outcomes;
-  Printf.printf "wrote WATCH_SMOKE.json\n"
+  write_serve_gated ~what:"watch" ~file:"WATCH_SMOKE.json" cfgs outcomes
 
 (* ------------------------------------------------------------------ *)
 (* Each experiment declares the (benchmark, config) cells it reads so the
@@ -1617,10 +1492,9 @@ let () =
     | a :: rest -> strip_jobs (a :: acc) rest
   in
   let args = strip_jobs [] argv in
-  if List.mem "--micro" args then micro ()
-  else if List.mem "--perf-smoke" args then perf_smoke ()
+  if List.mem "--perf-smoke" args then perf_smoke ()
   else begin
-    let selected = List.filter (fun a -> a <> "--micro" && a <> "--perf-smoke") args in
+    let selected = List.filter (fun a -> a <> "--perf-smoke") args in
     let to_run =
       if selected = [] then experiments
       else

@@ -14,7 +14,11 @@
      top REPORT.json          render a report's timeline and alert sections
      analyze -b <bench>       DDDG candidate analysis (Table 1 row)
      ir -b <bench>            dump the benchmark's IR
-     check FILE               parse and validate an IR file *)
+     check FILE               parse and validate an IR file
+
+   corun, cluster, serve and snapshot save take one node flag set (-b,
+   --sample, --cores, --partition, --requests, --banks, --ports, --l3; see
+   [node_term]) and differ only in the --cores and --partition defaults. *)
 
 module W = Axmemo_workloads
 module Runner = Axmemo.Runner
@@ -562,7 +566,7 @@ let faults_cmd =
       $ fault_kind_arg $ basis_arg $ protections_arg $ sites_arg $ l2_kb_arg
       $ metrics_arg $ csv_arg $ chrome_trace_arg $ quiet_arg)
 
-(* ---- corun: multi-core co-run study --------------------------------- *)
+(* ---- the node shape: one flag set for every multi-core engine ---------- *)
 
 module Shared_lut = Axmemo_multicore.Shared_lut
 module Corun = Axmemo_multicore.Corun
@@ -578,77 +582,122 @@ let partition_conv =
               (`Msg (s ^ ": expected free-for-all (ffa), static, or utility"))),
       fun ppf p -> Format.pp_print_string ppf (Shared_lut.partition_name p) )
 
-let corun_bench_arg =
-  Arg.(
-    value
-    & opt (list bench_conv) [ "blackscholes"; "sobel" ]
-    & info [ "b"; "benchmarks" ] ~docv:"NAME,.."
-        ~doc:"Comma-separated workload mix, round-robined into the stream.")
+let all_partitions =
+  [ Shared_lut.Free_for_all; Shared_lut.Static; Shared_lut.Utility { period = 2048 } ]
 
-let cores_arg =
-  Arg.(
-    value
-    & opt (list int) [ 1; 2; 4 ]
-    & info [ "cores" ] ~docv:"N,.." ~doc:"Core counts to sweep.")
+(* The node shape that corun, cluster, serve and snapshot save share: the
+   workload mix and its dataset, plus one node's cores, shared LUT and DRAM
+   tier. Each flag is defined and validated here once; the subcommands
+   differ only in the [--cores] and [--partition] defaults. The term yields
+   a thunk, so validation runs after the --seed banner, and the thunk
+   returns one [Corun.config] cell per (cores, partition) pair, cores
+   outer. *)
+let node_term ~cores ~partitions =
+  let benches =
+    Arg.(
+      value
+      & opt (list bench_conv) [ "blackscholes"; "sobel" ]
+      & info [ "b"; "benchmarks" ] ~docv:"NAME,.."
+          ~doc:"Comma-separated workload mix, round-robined into the stream.")
+  in
+  let cores =
+    Arg.(
+      value & opt (list int) cores
+      & info [ "cores" ] ~docv:"N,.." ~doc:"Cores per node to sweep.")
+  in
+  let partitions =
+    Arg.(
+      value
+      & opt (list partition_conv) partitions
+      & info [ "partition" ] ~docv:"P,.."
+          ~doc:
+            "Shared-LUT partitioning policies to sweep: free-for-all, static, \
+             utility.")
+  in
+  let requests =
+    Arg.(
+      value & opt int 8
+      & info [ "requests" ] ~docv:"N"
+          ~doc:"Length of the request stream dispatched across the cores.")
+  in
+  let banks =
+    Arg.(value & opt int 8 & info [ "banks" ] ~docv:"N" ~doc:"Banks of the shared LUT.")
+  in
+  let ports =
+    Arg.(
+      value & opt int 1
+      & info [ "ports" ] ~docv:"N" ~doc:"Ports per bank of the shared LUT.")
+  in
+  let l3 =
+    Arg.(
+      value & opt int 0
+      & info [ "l3" ] ~docv:"MB"
+          ~doc:
+            "Attach a DRAM-resident L3 LUT tier of $(docv) MiB behind the \
+             shared level (0, the default, attaches no tier). Shared-LUT \
+             victims spill into it; SRAM misses probe it at row-buffer cost.")
+  in
+  let cells workloads sample cores partitions requests banks ports l3_mb () =
+    List.iter (fun n -> if n < 1 then die "--cores must be positive (got %d)" n) cores;
+    no_repeats "--cores" string_of_int cores;
+    no_repeats "--partition" Shared_lut.partition_name partitions;
+    if requests < 1 then die "--requests must be positive (got %d)" requests;
+    if banks < 1 then die "--banks must be positive (got %d)" banks;
+    if ports < 1 then die "--ports must be positive (got %d)" ports;
+    if l3_mb < 0 then die "--l3 must be non-negative (got %d)" l3_mb;
+    let l3 =
+      if l3_mb = 0 then None
+      else Some { Axmemo_tier.Dram_lut.default with size_bytes = l3_mb * 1024 * 1024 }
+    in
+    List.concat_map
+      (fun ncores ->
+        List.map
+          (fun partition ->
+            {
+              Corun.default with
+              ncores;
+              partition;
+              banks;
+              ports;
+              workloads;
+              requests;
+              variant = variant_of sample;
+              l3;
+            })
+          partitions)
+      cores
+  in
+  Term.(
+    const cells $ benches $ variant_arg $ cores $ partitions $ requests $ banks $ ports
+    $ l3)
 
-let requests_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "requests" ] ~docv:"N"
-        ~doc:"Length of the request stream dispatched across the cores.")
+(* ---- corun and cluster: closed request streams -------------------------- *)
 
-let partitions_arg =
-  Arg.(
-    value
-    & opt (list partition_conv)
-        [ Shared_lut.Free_for_all; Shared_lut.Static;
-          Shared_lut.Utility { period = 2048 } ]
-    & info [ "partition" ] ~docv:"P,.."
-        ~doc:
-          "Shared-LUT partitioning policies to sweep: free-for-all, static, \
-           utility.")
-
-let banks_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "banks" ] ~docv:"N" ~doc:"Banks of the shared LUT.")
-
-let ports_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "ports" ] ~docv:"N" ~doc:"Ports per bank of the shared LUT.")
-
-let fault_rate_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "fault-rate" ] ~docv:"R"
-        ~doc:
-          "Also strike the shared LUT's storage with transient upsets at \
-           per-access rate $(docv).")
-
-let l3_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "l3" ] ~docv:"MB"
-        ~doc:
-          "Attach a DRAM-resident L3 LUT tier of $(docv) MiB behind the \
-           shared level (0, the default, attaches no tier). Shared-LUT \
-           victims spill into it; SRAM misses probe it at row-buffer cost.")
-
-let l3_config_of mb =
-  if mb < 0 then die "--l3 must be non-negative (got %d)" mb
-  else if mb = 0 then None
-  else Some { Axmemo_tier.Dram_lut.default with size_bytes = mb * 1024 * 1024 }
-
-(* Shared flag hygiene for the cluster-driving subcommands: reject
-   non-positive values with a one-line error instead of a backtrace. *)
-let validate_cluster_flags ~cores ~requests ~banks ~ports =
-  List.iter (fun n -> if n < 1 then die "--cores must be positive (got %d)" n) cores;
-  no_repeats "--cores" string_of_int cores;
-  if requests < 1 then die "--requests must be positive (got %d)" requests;
-  if banks < 1 then die "--banks must be positive (got %d)" banks;
-  if ports < 1 then die "--ports must be positive (got %d)" ports
+(* What corun and cluster share once their configs are built: the matrix,
+   the report, CSV and trace files, and the merged profiles. Each passes
+   its own table. *)
+let run_clusters ?jobs ?(profile = false) ?chrome_trace ~metrics ~csv ~quiet ~table
+    cfgs =
+  let outcomes =
+    try Cluster.run_matrix ?jobs ~profile cfgs with Invalid_argument msg -> die "%s" msg
+  in
+  if not quiet then begin
+    table outcomes;
+    if profile then
+      List.iter
+        (fun (o : Cluster.outcome) ->
+          match o.profiles with
+          | Some ps ->
+              Printf.printf "\n%s — merged attribution profile:\n" (Corun.label o.cfg.node);
+              print_string (Profile.render (Profile.merge (Array.to_list ps)))
+          | None -> ())
+        outcomes
+  end;
+  Option.iter (fun path -> Cluster.write_report path outcomes) metrics;
+  Option.iter (fun path -> Report.write_csv path (Cluster.report_runs outcomes)) csv;
+  Option.iter
+    (fun path -> match outcomes with [] -> () | o :: _ -> Cluster.write_trace o path)
+    chrome_trace
 
 let corun_profile_arg =
   Arg.(
@@ -660,101 +709,61 @@ let corun_profile_arg =
            report's $(b,cluster) array its own, and shared-LUT arbitration \
            stalls are charged back to core and region.")
 
+(* Corun only: every node of a multi-node cluster seeds its injector from
+   the same fault spec, so its nodes would replay one upset stream. *)
+let fault_rate_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "fault-rate" ] ~docv:"R"
+        ~doc:
+          "Also strike the shared LUT's storage with transient upsets at \
+           per-access rate $(docv).")
+
+let corun_table outcomes =
+  let header =
+    [ "cores"; "partition"; "makespan"; "thrpt/s"; "speedup"; "hit"; "fair"; "cont";
+      "repart" ]
+  in
+  let rows =
+    List.map
+      (fun (o : Cluster.outcome) ->
+        [
+          string_of_int o.cfg.node.Corun.ncores;
+          Shared_lut.partition_name o.cfg.node.Corun.partition;
+          string_of_int o.makespan_cycles;
+          Printf.sprintf "%.0f" o.throughput_rps;
+          Table.fmt_x o.speedup;
+          Table.fmt_pct o.aggregate_hit_rate;
+          Printf.sprintf "%.3f" o.fairness;
+          string_of_int o.bank_stall_cycles;
+          string_of_int o.node_summaries.(0).Cluster.repartitions;
+        ])
+      outcomes
+  in
+  Table.print ~align:[ Right; Left; Right; Right; Right; Right; Right; Right; Right ]
+    ~header rows
+
 let corun_cmd =
   let doc = "Multi-core co-run: shared L2 LUT, partitioning, arbitration." in
-  let run benches sample seed cores requests partitions banks ports fault_rate
-      l3_mb jobs profile metrics csv quiet =
+  let run cells fault_rate seed jobs profile metrics csv quiet =
     apply_seed seed;
     print_seed quiet;
-    validate_cluster_flags ~cores ~requests ~banks ~ports;
-    no_repeats "--partition" Shared_lut.partition_name partitions;
-    let l3 = l3_config_of l3_mb in
-    let faults =
-      Option.map
-        (fun rate ->
-          {
-            Fault_model.default with
-            rate;
-            sites =
-              Fault_model.[ L2_tag; L2_payload; L2_valid; L2_lru ];
-          })
-        fault_rate
-    in
+    let sites = Fault_model.[ L2_tag; L2_payload; L2_valid; L2_lru ] in
+    let faults = Option.map (fun rate -> { Fault_model.default with rate; sites }) fault_rate in
     (* A co-run is a 1-node cluster. *)
     let cfgs =
-      List.concat_map
-        (fun ncores ->
-          List.map
-            (fun partition ->
-              {
-                Cluster.default with
-                nodes = 1;
-                node =
-                  {
-                    Corun.default with
-                    ncores;
-                    partition;
-                    banks;
-                    ports;
-                    workloads = benches;
-                    requests;
-                    variant = variant_of sample;
-                    faults;
-                    l3;
-                  };
-              })
-            partitions)
-        cores
+      List.map
+        (fun node -> { Cluster.default with nodes = 1; node = { node with faults } })
+        (cells ())
     in
-    let outcomes =
-      try Cluster.run_matrix ?jobs ~profile cfgs
-      with Invalid_argument msg -> die "%s" msg
-    in
-    if not quiet then begin
-      let header =
-        [ "cores"; "partition"; "makespan"; "thrpt/s"; "speedup"; "hit"; "fair";
-          "cont"; "repart" ]
-      in
-      let rows =
-        List.map
-          (fun (o : Cluster.outcome) ->
-            [
-              string_of_int o.cfg.node.Corun.ncores;
-              Shared_lut.partition_name o.cfg.node.Corun.partition;
-              string_of_int o.makespan_cycles;
-              Printf.sprintf "%.0f" o.throughput_rps;
-              Table.fmt_x o.speedup;
-              Table.fmt_pct o.aggregate_hit_rate;
-              Printf.sprintf "%.3f" o.fairness;
-              string_of_int o.bank_stall_cycles;
-              string_of_int o.node_summaries.(0).Cluster.repartitions;
-            ])
-          outcomes
-      in
-      Table.print
-        ~align:[ Right; Left; Right; Right; Right; Right; Right; Right; Right ]
-        ~header rows
-    end;
-    if profile && not quiet then
-      List.iter
-        (fun (o : Cluster.outcome) ->
-          match o.profiles with
-          | Some ps ->
-              Printf.printf "\n%s — merged attribution profile:\n"
-                (Corun.label o.cfg.node);
-              print_string (Profile.render (Profile.merge (Array.to_list ps)))
-          | None -> ())
-        outcomes;
-    Option.iter (fun path -> Cluster.write_report path outcomes) metrics;
-    Option.iter
-      (fun path -> Report.write_csv path (Cluster.report_runs outcomes))
-      csv
+    run_clusters ?jobs ~profile ~metrics ~csv ~quiet ~table:corun_table cfgs
   in
   Cmd.v (Cmd.info "corun" ~doc)
     Term.(
-      const run $ corun_bench_arg $ variant_arg $ seed_arg $ cores_arg
-      $ requests_arg $ partitions_arg $ banks_arg $ ports_arg $ fault_rate_arg
-      $ l3_arg $ jobs_arg $ corun_profile_arg $ metrics_arg $ csv_arg
+      const run
+      $ node_term ~cores:[ 1; 2; 4 ] ~partitions:all_partitions
+      $ fault_rate_arg $ seed_arg $ jobs_arg $ corun_profile_arg $ metrics_arg $ csv_arg
       $ quiet_arg)
 
 (* ---- serve: open-loop service study ----------------------------------- *)
@@ -852,6 +861,9 @@ let warm_start_arg =
            The arrival stream is unchanged, so the run is directly \
            comparable to its cold twin.")
 
+(* One node count per run, unlike cluster's --nodes sweep: the saturation
+   table groups cells by total cores (nodes x cores), so a node sweep would
+   merge different shapes into one group. *)
 let serve_nodes_arg =
   Arg.(
     value & opt int 1
@@ -906,13 +918,11 @@ let serve_cmd =
     "Open-loop service study: seeded arrivals, bounded admission queue, \
      per-request latency, SLO accounting, saturation sweeps."
   in
-  let run benches sample seed cores requests partitions banks ports nodes
-      arrival loads queue shed slo l3_mb warm_start watch expo window_log
-      alerts sweep_load wall jobs metrics csv chrome_trace quiet =
+  let run cells seed nodes arrival loads queue shed slo warm_start watch expo
+      window_log alerts sweep_load wall jobs metrics csv chrome_trace quiet =
     apply_seed seed;
     print_seed quiet;
-    validate_cluster_flags ~cores ~requests ~banks ~ports;
-    no_repeats "--partition" Shared_lut.partition_name partitions;
+    let cells = cells () in
     if nodes < 1 then die "--nodes must be positive (got %d)" nodes;
     if queue < 1 then die "--queue must be positive (got %d)" queue;
     if slo < 0 then die "--slo must be non-negative (got %d)" slo;
@@ -923,7 +933,6 @@ let serve_cmd =
           die "--load must be positive (got %g)" l)
       loads;
     no_repeats "--load" (Printf.sprintf "%g") loads;
-    let l3 = l3_config_of l3_mb in
     (* Validate the snapshot up front so a missing/corrupt file is one line
        and exit 1, not a mid-matrix exception. *)
     (match warm_start with
@@ -951,36 +960,22 @@ let serve_cmd =
     in
     let cfgs =
       List.concat_map
-        (fun ncores ->
-          List.concat_map
-            (fun partition ->
-              List.map
-                (fun load ->
-                  {
-                    Serve.cluster =
-                      {
-                        Corun.default with
-                        ncores;
-                        partition;
-                        banks;
-                        ports;
-                        workloads = benches;
-                        requests;
-                        variant = variant_of sample;
-                        l3;
-                      };
-                    nodes;
-                    arrival;
-                    load;
-                    queue_capacity = queue;
-                    shed;
-                    slo_cycles = slo;
-                    warm_start;
-                    watch = watch_cfg;
-                  })
-                loads)
-            partitions)
-        cores
+        (fun cluster ->
+          List.map
+            (fun load ->
+              {
+                Serve.cluster;
+                nodes;
+                arrival;
+                load;
+                queue_capacity = queue;
+                shed;
+                slo_cycles = slo;
+                warm_start;
+                watch = watch_cfg;
+              })
+            loads)
+        cells
     in
     let outcomes =
       try Serve.run_matrix ?jobs cfgs
@@ -1042,12 +1037,15 @@ let serve_cmd =
         (fun (o : Serve.outcome) ->
           match o.Serve.timeline with
           | None -> ()
-          | Some tl ->
+          | Some tl -> (
               print_newline ();
-              print_string
-                (Expo.render_timeline
-                   ~alerts:(Alert.to_json o.Serve.alerts)
-                   ~label:(Serve.label o.Serve.cfg) (Timeline.to_json tl)))
+              let label = Serve.label o.Serve.cfg in
+              match
+                Expo.render_timeline ~alerts:(Alert.to_json o.Serve.alerts) ~label
+                  (Timeline.to_json tl)
+              with
+              | Ok rendered -> print_string rendered
+              | Error msg -> die "%s: %s" label msg))
         outcomes;
     (* The exposition artifacts cover the first watched run, mirroring how
        --chrome-trace picks the first outcome. *)
@@ -1078,10 +1076,10 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ corun_bench_arg $ variant_arg $ seed_arg $ cores_arg
-      $ requests_arg $ partitions_arg $ banks_arg $ ports_arg
-      $ serve_nodes_arg $ arrival_arg $ loads_arg $ queue_arg $ shed_arg
-      $ slo_arg $ l3_arg $ warm_start_arg $ watch_arg $ expo_arg
+      const run
+      $ node_term ~cores:[ 1; 2; 4 ] ~partitions:all_partitions
+      $ seed_arg $ serve_nodes_arg $ arrival_arg $ loads_arg $ queue_arg $ shed_arg
+      $ slo_arg $ warm_start_arg $ watch_arg $ expo_arg
       $ window_log_arg $ alerts_arg $ sweep_load_arg $ wall_arg
       $ jobs_arg $ metrics_arg $ csv_arg $ chrome_trace_arg $ quiet_arg)
 
@@ -1097,11 +1095,6 @@ let cluster_nodes_arg =
            $(b,--cores) cores; LUT entries are homed on a node by the high \
            bits of their CRC tag, and cross-node traffic pays the modeled \
            interconnect.")
-
-let cluster_cores_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "cores" ] ~docv:"N" ~doc:"Cores per node.")
 
 let replicate_arg =
   Arg.(
@@ -1139,7 +1132,7 @@ let no_directory_arg =
            messages).")
 
 (* Parse "CYCLES:PJ"; any malformed shape is a one-line die, not a
-   backtrace — satellite flag hygiene mirrors validate_cluster_flags. *)
+   backtrace. *)
 let net_override_of = function
   | None -> (Cluster.default.Cluster.net_msg_cycles, Cluster.default.Cluster.net_hop_pj)
   | Some s -> (
@@ -1154,104 +1147,86 @@ let net_override_of = function
               die "--net cycles must be positive (got %d)" c
           | _ -> die "--net expects CYCLES:PJ (got %s)" s))
 
+let cluster_table outcomes =
+  let header =
+    [ "nodes"; "cores"; "makespan"; "thrpt/s"; "speedup"; "hit"; "shard"; "rep";
+      "inv sent"; "filt"; "bcast="; "net msgs" ]
+  in
+  (* A --partition sweep suffixes each cores cell with its policy; one
+     policy keeps the plain count. *)
+  let partition (o : Cluster.outcome) = Shared_lut.partition_name o.cfg.node.Corun.partition in
+  let swept =
+    List.length (List.sort_uniq String.compare (List.map partition outcomes)) > 1
+  in
+  let rows =
+    List.map
+      (fun (o : Cluster.outcome) ->
+        let cores = string_of_int (o.cfg.nodes * o.cfg.node.Corun.ncores) in
+        [
+          string_of_int o.cfg.nodes;
+          (if swept then cores ^ "/" ^ partition o else cores);
+          string_of_int o.makespan_cycles;
+          Printf.sprintf "%.0f" o.throughput_rps;
+          Table.fmt_x o.speedup;
+          Table.fmt_pct o.aggregate_hit_rate;
+          Printf.sprintf "%.3f" o.shard_balance;
+          Table.fmt_pct o.replication_hit_share;
+          string_of_int o.inv_sent;
+          string_of_int o.inv_filtered;
+          string_of_int o.inv_broadcast_equivalent;
+          string_of_int o.net_messages;
+        ])
+      outcomes
+  in
+  Table.print
+    ~align:
+      [ Right; Right; Right; Right; Right; Right; Right; Right; Right; Right; Right;
+        Right ]
+    ~header rows
+
 let cluster_cmd =
   let doc =
     "Sharded multi-node memoization: home-shard routing, directory \
      invalidation, optional hot-entry replication, interconnect accounting."
   in
-  let run benches sample seed nodes ncores requests banks ports
-      replicate_threshold net net_ports no_directory l3_mb jobs metrics csv
-      chrome_trace quiet =
+  let run cells seed nodes replicate_threshold net net_ports no_directory jobs metrics
+      csv chrome_trace quiet =
     apply_seed seed;
     print_seed quiet;
-    List.iter
-      (fun m -> if m < 1 then die "--nodes must be positive (got %d)" m)
-      nodes;
+    List.iter (fun m -> if m < 1 then die "--nodes must be positive (got %d)" m) nodes;
     no_repeats "--nodes" string_of_int nodes;
-    validate_cluster_flags ~cores:[ ncores ] ~requests ~banks ~ports;
+    let cells = cells () in
     if replicate_threshold < 0 then
-      die "--replicate-threshold must be non-negative (got %d)"
-        replicate_threshold;
+      die "--replicate-threshold must be non-negative (got %d)" replicate_threshold;
     if net_ports < 1 then die "--net-ports must be positive (got %d)" net_ports;
     let net_msg_cycles, net_hop_pj = net_override_of net in
-    let l3 = l3_config_of l3_mb in
-    let node =
-      {
-        Corun.default with
-        ncores;
-        banks;
-        ports;
-        workloads = benches;
-        requests;
-        variant = variant_of sample;
-        l3;
-      }
-    in
+    (* Cells are ordered nodes, then cores, then partition. *)
     let cfgs =
-      List.map
-        (fun m ->
-          {
-            Cluster.nodes = m;
-            node;
-            replicate_threshold;
-            net_msg_cycles;
-            net_hop_pj;
-            net_ports;
-            directory = not no_directory;
-          })
+      List.concat_map
+        (fun nodes ->
+          List.map
+            (fun node ->
+              {
+                Cluster.nodes;
+                node;
+                replicate_threshold;
+                net_msg_cycles;
+                net_hop_pj;
+                net_ports;
+                directory = not no_directory;
+              })
+            cells)
         nodes
     in
-    let outcomes =
-      try Cluster.run_matrix ?jobs cfgs
-      with Invalid_argument msg -> die "%s" msg
-    in
-    if not quiet then begin
-      let header =
-        [ "nodes"; "cores"; "makespan"; "thrpt/s"; "speedup"; "hit"; "shard";
-          "rep"; "inv sent"; "filt"; "bcast=" ; "net msgs" ]
-      in
-      let rows =
-        List.map
-          (fun (o : Cluster.outcome) ->
-            [
-              string_of_int o.Cluster.cfg.Cluster.nodes;
-              string_of_int
-                (o.Cluster.cfg.Cluster.nodes
-                * o.Cluster.cfg.Cluster.node.Corun.ncores);
-              string_of_int o.Cluster.makespan_cycles;
-              Printf.sprintf "%.0f" o.Cluster.throughput_rps;
-              Table.fmt_x o.Cluster.speedup;
-              Table.fmt_pct o.Cluster.aggregate_hit_rate;
-              Printf.sprintf "%.3f" o.Cluster.shard_balance;
-              Table.fmt_pct o.Cluster.replication_hit_share;
-              string_of_int o.Cluster.inv_sent;
-              string_of_int o.Cluster.inv_filtered;
-              string_of_int o.Cluster.inv_broadcast_equivalent;
-              string_of_int o.Cluster.net_messages;
-            ])
-          outcomes
-      in
-      Table.print
-        ~align:
-          [ Right; Right; Right; Right; Right; Right; Right; Right; Right;
-            Right; Right; Right ]
-        ~header rows
-    end;
-    Option.iter (fun path -> Cluster.write_report path outcomes) metrics;
-    Option.iter
-      (fun path -> Report.write_csv path (Cluster.report_runs outcomes))
-      csv;
-    Option.iter
-      (fun path ->
-        match outcomes with [] -> () | o :: _ -> Cluster.write_trace o path)
-      chrome_trace
+    run_clusters ?jobs ?chrome_trace ~metrics ~csv ~quiet ~table:cluster_table cfgs
   in
   Cmd.v (Cmd.info "cluster" ~doc)
     Term.(
-      const run $ corun_bench_arg $ variant_arg $ seed_arg $ cluster_nodes_arg
-      $ cluster_cores_arg $ requests_arg $ banks_arg $ ports_arg
-      $ replicate_arg $ net_arg $ net_ports_arg $ no_directory_arg $ l3_arg
-      $ jobs_arg $ metrics_arg $ csv_arg $ chrome_trace_arg $ quiet_arg)
+      const run
+      $ node_term ~cores:[ 2 ] ~partitions:[ Shared_lut.Free_for_all ]
+      $ seed_arg $ cluster_nodes_arg $ replicate_arg $ net_arg $ net_ports_arg
+      $ no_directory_arg $ jobs_arg $ metrics_arg $ csv_arg $ chrome_trace_arg
+      $ quiet_arg)
 
 (* ---- snapshot: warm-LUT persistence ----------------------------------- *)
 
@@ -1277,35 +1252,15 @@ let snapshot_cmd =
       "Warm a cluster with a closed request stream, then save every LUT \
        level's contents (versioned, checksummed) to $(b,FILE)."
     in
-    let ncores_arg =
-      Arg.(
-        value & opt int 2
-        & info [ "cores" ] ~docv:"N" ~doc:"Cores of the warming cluster.")
-    in
-    let partition_arg =
-      Arg.(
-        value
-        & opt partition_conv Shared_lut.Free_for_all
-        & info [ "partition" ] ~docv:"P"
-            ~doc:"Shared-LUT partitioning policy of the warming cluster.")
-    in
-    let run file benches sample seed ncores requests partition banks ports
-        l3_mb quiet =
+    let run file cells seed quiet =
       apply_seed seed;
       print_seed quiet;
-      validate_cluster_flags ~cores:[ ncores ] ~requests ~banks ~ports;
       let cfg =
-        {
-          Corun.default with
-          ncores;
-          partition;
-          banks;
-          ports;
-          workloads = benches;
-          requests;
-          variant = variant_of sample;
-          l3 = l3_config_of l3_mb;
-        }
+        match cells () with
+        | [ cfg ] -> cfg
+        | cells ->
+            die "snapshot save warms one node shape; --cores and --partition give %d"
+              (List.length cells)
       in
       (* Node 0's capture keeps the plain l1.<c>/l2/l3 section names. *)
       let snap =
@@ -1325,9 +1280,9 @@ let snapshot_cmd =
     in
     Cmd.v (Cmd.info "save" ~doc)
       Term.(
-        const run $ file_pos $ corun_bench_arg $ variant_arg $ seed_arg
-        $ ncores_arg $ requests_arg $ partition_arg $ banks_arg $ ports_arg
-        $ l3_arg $ quiet_arg)
+        const run $ file_pos
+        $ node_term ~cores:[ 2 ] ~partitions:[ Shared_lut.Free_for_all ]
+        $ seed_arg $ quiet_arg)
   in
   let load_cmd =
     let doc =

@@ -872,10 +872,9 @@ let profiled_hooks t p : Interp.hooks =
     term_site = None;
   }
 
-(* Allocation-free attachment: flat callbacks, no event record per
-   instruction. Preferred on the simulation hot path. With a profiler
-   attached the callbacks additionally attribute each instruction to its
-   static region; without one they are exactly the unprofiled closures. *)
+(* With a profiler attached the callbacks additionally attribute each
+   instruction to its static region; without one they are exactly the
+   unprofiled closures. *)
 let hooks t : Interp.hooks =
   match t.profile with
   | Some p -> profiled_hooks t p
@@ -902,15 +901,6 @@ let profile_close t =
           p.p_cycles.(p.p_nregions).(drain_class) + (c - p.p_last);
         p.p_last <- c
       end
-
-(* Event-based convenience form, kept for observers that want a reified
-   event stream; allocates one event per callback upstream. *)
-let hook t (ev : Interp.event) =
-  match ev with
-  | Enter { fname } -> on_enter t fname
-  | Leave { fname } -> on_leave t fname
-  | Exec { instr; addr; _ } -> exec_instr t instr addr
-  | Term { term; _ } -> exec_term t term
 
 let stats t =
   {

@@ -51,16 +51,15 @@ type breakdown = {
   memo_pj : float;
   protection_pj : float;
   leakage_pj : float;
-  net_pj : float;
   total_pj : float;
 }
 
 let class_count (stats : Pipeline.stats) cls =
   match List.assoc_opt cls stats.per_class with Some n -> n | None -> 0
 
-let of_run ?(constants = default_constants) ?(protection_pj = 0.0) ?(l3_row_hits = 0)
-    ?(l3_activations = 0) ?(net_hops = 0) ~pipeline ~hierarchy ~memo ~l1_lut_bytes () =
-  let k = constants in
+let of_run ?(protection_pj = 0.0) ?(l3_row_hits = 0) ?(l3_activations = 0) ~pipeline
+    ~hierarchy ~memo ~l1_lut_bytes () =
+  let k = default_constants in
   let c cls = float_of_int (class_count pipeline cls) in
   let fu_pj =
     (c C_ialu *. k.ialu_pj)
@@ -100,12 +99,9 @@ let of_run ?(constants = default_constants) ?(protection_pj = 0.0) ?(l3_row_hits
         +. (float_of_int (m.l2_hits + m.updates) *. k.l2_access_pj)
   in
   let leakage_pj = float_of_int pipeline.cycles *. k.leakage_pj_per_cycle in
-  (* Interconnect traffic in a sharded cluster: per-hop SerDes energy for
-     each message leg (probe round trips count both legs). *)
-  let net_pj = float_of_int net_hops *. k.net_hop_pj in
   (* The paper estimates application energy with McPAT, i.e. processor energy
-     only; DRAM energy — both demand misses and L3 LUT traffic — and
-     interconnect energy are reported in the breakdown but excluded from the
-     total, matching that methodology. *)
+     only; DRAM energy — both demand misses and L3 LUT traffic — is reported
+     in the breakdown but excluded from the total, matching that methodology.
+     A sharded cluster reports its interconnect energy in its own section. *)
   let total_pj = pipeline_pj +. cache_pj +. memo_pj +. protection_pj +. leakage_pj in
-  { pipeline_pj; cache_pj; dram_pj; l3_pj; memo_pj; protection_pj; leakage_pj; net_pj; total_pj }
+  { pipeline_pj; cache_pj; dram_pj; l3_pj; memo_pj; protection_pj; leakage_pj; total_pj }

@@ -40,19 +40,13 @@ type breakdown = {
       (** modeled ECC checks/encodes on the LUT arrays
           ({!Axmemo_faults.Protection}); 0 for unprotected runs *)
   leakage_pj : float;
-  net_pj : float;
-      (** sharded-cluster interconnect traffic ([net_hops] message-leg hops
-          at [net_hop_pj] each); like [dram_pj], reported but excluded from
-          [total_pj] *)
   total_pj : float;
 }
 
 val of_run :
-  ?constants:constants ->
   ?protection_pj:float ->
   ?l3_row_hits:int ->
   ?l3_activations:int ->
-  ?net_hops:int ->
   pipeline:Axmemo_cpu.Pipeline.stats ->
   hierarchy:Axmemo_cache.Hierarchy.t ->
   memo:Axmemo_memo.Memo_unit.stats option ->
@@ -65,6 +59,5 @@ val of_run :
     charge computed by {!Axmemo_faults.Protection.energy_pj} into the
     total. [?l3_row_hits]/[?l3_activations] (default 0) bill DRAM-LUT tier
     traffic into [l3_pj]; with no tier attached the breakdown is
-    bit-identical to the two-level model. [?net_hops] (default 0) bills
-    cluster interconnect message-leg hops into [net_pj]; single-node runs
-    leave it 0. *)
+    bit-identical to the two-level model. All charges use
+    {!default_constants}. *)

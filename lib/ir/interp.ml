@@ -5,12 +5,6 @@ type memo_hooks = {
   invalidate : lut:int -> unit;
 }
 
-type event =
-  | Enter of { fname : string }
-  | Leave of { fname : string }
-  | Exec of { fname : string; bidx : int; iidx : int; instr : Ir.instr; addr : int }
-  | Term of { fname : string; bidx : int; term : Ir.terminator }
-
 type hooks = {
   on_enter : string -> unit;
   on_leave : string -> unit;
@@ -24,17 +18,6 @@ type hooks = {
   term_site : (string -> int -> Ir.terminator -> unit -> unit) option;
       (* site compiler for terminators, replacing [on_term] per execution *)
 }
-
-let hooks_of_event_fn f =
-  {
-    on_enter = (fun fname -> f (Enter { fname }));
-    on_leave = (fun fname -> f (Leave { fname }));
-    on_exec =
-      (fun fname bidx iidx instr addr -> f (Exec { fname; bidx; iidx; instr; addr }));
-    on_term = (fun fname bidx term -> f (Term { fname; bidx; term }));
-    exec_site = None;
-    term_site = None;
-  }
 
 let no_hooks =
   {
@@ -320,8 +303,8 @@ let exec_memo t regs (m : Ir.memo_instr) : int =
       -1
 
 (* Executes one non-call instruction; returns the effective address for
-   memory instructions, -1 otherwise. No event record is allocated: flat
-   arguments carry what the hook needs. [Call] is handled by the block
+   memory instructions, -1 otherwise; the hook receives it as a flat
+   argument. [Call] is handled by the block
    drivers because it recurses and fires its hook before the callee runs. *)
 let exec_simple t regs (instr : Ir.instr) : int =
   match instr with
@@ -843,8 +826,8 @@ and run_hooked t h cf regs bidx : Ir.value array =
     if t.nsteps > t.max_steps then failwith "Interp: step limit exceeded";
     match instr with
     | Call { callee; dsts; args } ->
-        (* The call event fires before the callee runs so a timing consumer
-           sees events in issue order. *)
+        (* The call hook fires before the callee runs so a timing consumer
+           sees instructions in issue order. *)
         h.on_exec fname bidx iidx instr (-1);
         let g = callee_func t callee in
         let results = exec_func t g (Array.map (operand regs) args) in
@@ -884,15 +867,8 @@ let run t fname args =
           exec_ker t k args;
           Array.copy k.k_ret)
 
-let create ?memo ?hook ?hooks ?(max_steps = 2_000_000_000) ?(backend = `Compiled)
+let create ?memo ?hooks ?(max_steps = 2_000_000_000) ?(backend = `Compiled)
     ~program ~mem () =
-  let hooks =
-    match (hook, hooks) with
-    | None, None -> None
-    | Some f, None -> Some (hooks_of_event_fn f)
-    | None, Some h -> Some h
-    | Some f, Some h -> Some (combine_hooks (hooks_of_event_fn f) h)
-  in
   let funcs = Hashtbl.create 16 in
   Array.iter
     (fun (f : Ir.func) -> Hashtbl.replace funcs f.fname (compile_func f))

@@ -259,8 +259,8 @@ let parse_call line lhs rest =
   | None -> fail line "call expects arguments"
   | Some i ->
       let callee = strip (String.sub rest 0 i) in
-      let args_s = String.sub rest (i + 1) (String.length rest - i - 2) in
       if rest.[String.length rest - 1] <> ')' then fail line "call missing )";
+      let args_s = String.sub rest (i + 1) (String.length rest - i - 2) in
       let dsts =
         Array.of_list (List.map (parse_reg line) (split_commas lhs))
       in
@@ -344,7 +344,7 @@ let parse_header line s =
   | None -> fail line "header missing ("
   | Some i -> (
       let fname = strip (String.sub s 0 i) in
-      match String.index_opt s ')' with
+      match String.index_from_opt s (i + 1) ')' with
       | None -> fail line "header missing )"
       | Some j ->
           let params_s = String.sub s (i + 1) (j - i - 1) in

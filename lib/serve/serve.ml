@@ -527,7 +527,10 @@ type saturation_point = {
 
 let sweep_loads = [ 0.25; 0.5; 0.75; 1.0; 1.25; 1.5; 2.0 ]
 
-let saturation ?(shed_threshold = 0.01) outcomes =
+(* A load saturates a group once it sheds more than 1% of its arrivals. *)
+let saturation_shed_threshold = 0.01
+
+let saturation outcomes =
   let keys =
     List.fold_left
       (fun acc o ->
@@ -550,7 +553,7 @@ let saturation ?(shed_threshold = 0.01) outcomes =
             = k)
           outcomes
       in
-      let ok = List.filter (fun o -> o.shed_rate <= shed_threshold) group in
+      let ok = List.filter (fun o -> o.shed_rate <= saturation_shed_threshold) group in
       let best =
         List.fold_left
           (fun acc o ->

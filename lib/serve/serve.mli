@@ -196,10 +196,10 @@ val sweep_loads : float list
 (** The default offered-load ramp of [--sweep-load]:
     0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0. *)
 
-val saturation : ?shed_threshold:float -> outcome list -> saturation_point list
-(** Groups outcomes by (cores, partition, arrival kind), in first-appearance
-    order, and reports each group's saturation point — the highest offered
-    load still served with [shed_rate <= shed_threshold] (default 0.01). *)
+val saturation : outcome list -> saturation_point list
+(** Groups outcomes by (total cores, partition, arrival kind), in
+    first-appearance order, and reports each group's saturation point — the
+    highest offered load still served with [shed_rate <= 0.01]. *)
 
 val saturation_json : saturation_point list -> Axmemo_util.Json.t
 

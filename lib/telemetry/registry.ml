@@ -70,10 +70,10 @@ let log_bounds ~lo ~hi ~per_decade =
   in
   Array.of_list (go [] lo)
 
-let series t name ?(every = 1) ?(cap = 512) () =
-  if every <= 0 || cap <= 0 then invalid_arg "Registry.series: non-positive every/cap";
+let series t name ?(cap = 512) () =
+  if cap <= 0 then invalid_arg "Registry.series: non-positive cap";
   let s =
-    { stride = every; cap; seen = 0; n = 0; ats = Array.make cap 0; vs = Array.make cap 0.0 }
+    { stride = 1; cap; seen = 0; n = 0; ats = Array.make cap 0; vs = Array.make cap 0.0 }
   in
   register t name (I_series s);
   s

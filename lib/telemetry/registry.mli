@@ -17,8 +17,8 @@
       into the first bucket whose upper bound is [>=] the value, with an
       implicit overflow bucket (truncation levels, set occupancy, memory
       latencies);
-    - {b series}: windowed time-series samplers — every [every]-th
-      observation is kept as an [(at, value)] pair, and when [cap] samples
+    - {b series}: windowed time-series samplers — every observation is
+      kept as an [(at, value)] pair, and when [cap] samples
       accumulate the series halves itself and doubles its stride, so memory
       stays bounded and the decimation is deterministic (CRC back-pressure
       over time, adaptive-truncation decisions).
@@ -58,11 +58,10 @@ val log_bounds : lo:float -> hi:float -> per_decade:int -> float array
     are exact to within one bucket width at every rank.
     @raise Invalid_argument unless [0 < lo < hi] and [per_decade >= 1]. *)
 
-val series : t -> string -> ?every:int -> ?cap:int -> unit -> series
-(** [series t name ()] registers a sampler keeping every [every]-th (default
-    1) observation, decimating 2x whenever [cap] (default 512) samples are
-    held. @raise Invalid_argument on a duplicate name or non-positive
-    [every]/[cap]. *)
+val series : t -> string -> ?cap:int -> unit -> series
+(** [series t name ()] registers a sampler keeping every observation,
+    decimating 2x whenever [cap] (default 512) samples are held.
+    @raise Invalid_argument on a duplicate name or a non-positive [cap]. *)
 
 (** {2 Hot-path operations — allocation-free} *)
 

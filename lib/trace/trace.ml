@@ -232,13 +232,6 @@ let hooks t : Interp.hooks =
     term_site = None;
   }
 
-let hook t (ev : Interp.event) =
-  match ev with
-  | Enter { fname } -> on_enter t fname
-  | Leave { fname } -> on_leave t fname
-  | Exec { fname; bidx; iidx; instr; addr } -> on_exec t fname bidx iidx instr addr
-  | Term { fname; bidx; term } -> on_term t fname bidx term
-
 let entries t = Array.sub t.buf 0 t.count
 
 let truncated t = t.full

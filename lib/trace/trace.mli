@@ -1,7 +1,7 @@
 (** Dynamic IR trace with on-the-fly dataflow resolution.
 
-    Stand-in for the paper's LLVM-Tracer step: executing a program with this
-    hook attached yields one entry per dynamic instruction, with operand
+    Stand-in for the paper's LLVM-Tracer step: executing a program with these
+    hooks attached yields one entry per dynamic instruction, with operand
     producers already resolved to earlier entries (registers are renamed
     through call boundaries, and load values are linked to in-trace stores
     to the same address). The result feeds {!Axmemo_ddg} directly.
@@ -33,12 +33,7 @@ val create :
     [program] provides parameter registers for cross-call renaming. *)
 
 val hooks : t -> Axmemo_ir.Interp.hooks
-(** Allocation-free attachment; pass as the interpreter's [hooks] during a
-    {e sample-input} run. *)
-
-val hook : t -> Axmemo_ir.Interp.event -> unit
-(** Attach as the interpreter hook during a {e sample-input} run
-    (event-based convenience form of {!hooks}). *)
+(** Pass as the interpreter's [hooks] during a {e sample-input} run. *)
 
 val entries : t -> entry array
 (** Recorded entries in execution order. *)

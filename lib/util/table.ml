@@ -41,8 +41,8 @@ let render ?(align = []) ~header rows =
 
 let print ?align ~header rows = print_string (render ?align ~header rows)
 
-let fmt_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
+let fmt_float x = Printf.sprintf "%.2f" x
 
-let fmt_pct ?(decimals = 1) x = Printf.sprintf "%.*f%%" decimals (x *. 100.0)
+let fmt_pct x = Printf.sprintf "%.1f%%" (x *. 100.0)
 
-let fmt_x ?(decimals = 2) x = Printf.sprintf "%.*fx" decimals x
+let fmt_x x = Printf.sprintf "%.2fx" x

@@ -15,12 +15,13 @@ val render : ?align:align list -> header:string list -> string list list -> stri
 val print : ?align:align list -> header:string list -> string list list -> unit
 (** [print] is [render] followed by [print_string]. *)
 
-val fmt_float : ?decimals:int -> float -> string
-(** [fmt_float x] formats with fixed [decimals] (default 2). *)
+val fmt_float : float -> string
+(** [fmt_float x] formats with two decimals. *)
 
-val fmt_pct : ?decimals:int -> float -> string
-(** [fmt_pct x] formats the fraction [x] as a percentage, e.g. [0.753] ->
-    ["75.3%"] (default 1 decimal). *)
+val fmt_pct : float -> string
+(** [fmt_pct x] formats the fraction [x] as a percentage with one decimal,
+    e.g. [0.753] -> ["75.3%"]. *)
 
-val fmt_x : ?decimals:int -> float -> string
-(** [fmt_x x] formats a ratio as a multiplier, e.g. ["2.64x"]. *)
+val fmt_x : float -> string
+(** [fmt_x x] formats a ratio as a multiplier with two decimals, e.g.
+    ["2.64x"]. *)

@@ -143,71 +143,94 @@ let sparkline values =
     Buffer.contents b
   end
 
-(* Pull a numeric leaf out of a window object; absent fields read as 0. *)
-let num k obj =
+(* A section [render_timeline] cannot render faithfully is rejected, never
+   drawn as zeros: raised inside the renderer, returned as its [Error]. *)
+exception Malformed of string
+
+let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
+
+(* A numeric leaf of [obj] (named [path] in messages): it must be present,
+   numeric and finite. *)
+let num path k obj =
   match Json.member k obj with
-  | Some v -> Option.value ~default:0.0 (Json.to_float v)
-  | None -> 0.0
+  | Some (Json.Int i) -> float_of_int i
+  | Some (Json.Float f) when Float.is_finite f -> f
+  | Some _ -> malformed "%s.%s is not a finite number" path k
+  | None -> malformed "%s.%s is missing" path k
+
+(* The window members [windows] counts: w0 .. w<n-1>, each present. A count
+   beyond the members stops at the first missing one. *)
+let windows_of timeline =
+  let n = num "timeline" "windows" timeline in
+  if not (Float.is_integer n && n >= 0.0) then
+    malformed "timeline.windows is not a window count";
+  let rec collect i acc =
+    if float_of_int i >= n then List.rev acc
+    else
+      let name = Printf.sprintf "w%d" i in
+      match Json.member name timeline with
+      | Some w -> collect (i + 1) ((Printf.sprintf "timeline.%s" name, w) :: acc)
+      | None -> malformed "timeline.%s is missing (windows = %.0f)" name n
+  in
+  collect 0 []
+
+let render_exn ?alerts ~label timeline =
+  let b = Buffer.create 4096 in
+  let windows = windows_of timeline in
+  (* Every window leaf is read before anything renders. *)
+  let col k = Array.of_list (List.map (fun (path, w) -> num path k w) windows) in
+  let admitted = col "admitted" and shed = col "shed" and completed = col "completed"
+  and viol = col "slo_violations" and p50 = col "p50" and p99 = col "p99"
+  and depth = col "max_queue_depth" and qbad = col "quality_bad"
+  and inv = col "inv_sent" in
+  let merges = int_of_float (num "timeline" "merges" timeline) in
+  Buffer.add_string b
+    (Printf.sprintf "%s — %d windows x %.0f cycles%s\n" label (List.length windows)
+       (num "timeline" "window_cycles" timeline)
+       (if merges > 0 then Printf.sprintf " (%d merges)" merges else ""));
+  Buffer.add_string b
+    "  win   admit   shed   done  viol     p50     p99  depth  q.bad\n";
+  Array.iteri
+    (fun i admit ->
+      Buffer.add_string b
+        (Printf.sprintf "  %3d %7.0f %6.0f %6.0f %5.0f %7.0f %7.0f %6.0f %6.0f\n"
+           i admit shed.(i) completed.(i) viol.(i) p50.(i) p99.(i) depth.(i) qbad.(i)))
+    admitted;
+  let spark name values =
+    Buffer.add_string b (Printf.sprintf "  %-12s %s\n" name (sparkline values))
+  in
+  spark "admitted" admitted;
+  spark "shed" shed;
+  spark "p99" p99;
+  spark "depth" depth;
+  spark "inv_sent" inv;
+  (match alerts with
+  | None -> ()
+  | Some (Json.Obj fields) ->
+      Buffer.add_string b "  alerts:\n";
+      List.iter
+        (fun (name, v) ->
+          if name <> "rules" then
+            let path = "alerts." ^ name in
+            let fired = int_of_float (num path "fired" v) in
+            let active = int_of_float (num path "windows_active" v) in
+            let first = int_of_float (num path "first_fire_window" v) in
+            Buffer.add_string b
+              (if fired > 0 then
+                 Printf.sprintf
+                   "    %-18s FIRED x%d (first window %d, active %d windows)\n"
+                   name fired first active
+               else Printf.sprintf "    %-18s quiet\n" name))
+        fields
+  | Some _ -> malformed "alerts is not an object");
+  Buffer.contents b
 
 (* Render one run's "timeline" (+ optional "alerts") section as the
    per-window table plus sparkline summary. *)
-let render_timeline ?alerts ~label timeline_json =
-  let b = Buffer.create 4096 in
-  let nwin =
-    int_of_float (num "windows" timeline_json)
-  in
-  let windows =
-    List.init nwin (fun i ->
-        match Json.member (Printf.sprintf "w%d" i) timeline_json with
-        | Some w -> w
-        | None -> Json.Obj [])
-  in
-  Buffer.add_string b
-    (Printf.sprintf "%s — %d windows x %.0f cycles%s\n" label nwin
-       (num "window_cycles" timeline_json)
-       (let m = int_of_float (num "merges" timeline_json) in
-        if m > 0 then Printf.sprintf " (%d merges)" m else ""));
-  Buffer.add_string b
-    "  win   admit   shed   done  viol     p50     p99  depth  q.bad\n";
-  List.iteri
-    (fun i w ->
-      Buffer.add_string b
-        (Printf.sprintf "  %3d %7.0f %6.0f %6.0f %5.0f %7.0f %7.0f %6.0f %6.0f\n"
-           i (num "admitted" w) (num "shed" w) (num "completed" w)
-           (num "slo_violations" w) (num "p50" w) (num "p99" w)
-           (num "max_queue_depth" w) (num "quality_bad" w)))
-    windows;
-  let spark name f =
-    Buffer.add_string b
-      (Printf.sprintf "  %-12s %s\n" name
-         (sparkline (Array.of_list (List.map f windows))))
-  in
-  spark "admitted" (num "admitted");
-  spark "shed" (num "shed");
-  spark "p99" (num "p99");
-  spark "depth" (num "max_queue_depth");
-  spark "inv_sent" (num "inv_sent");
-  (match alerts with
-  | None -> ()
-  | Some al ->
-      Buffer.add_string b "  alerts:\n";
-      (match al with
-      | Json.Obj fields ->
-          List.iter
-            (fun (name, v) ->
-              if name <> "rules" then
-                let fired = int_of_float (num "fired" v) in
-                let active = int_of_float (num "windows_active" v) in
-                let first = int_of_float (num "first_fire_window" v) in
-                Buffer.add_string b
-                  (if fired > 0 then
-                     Printf.sprintf
-                       "    %-18s FIRED x%d (first window %d, active %d windows)\n"
-                       name fired first active
-                   else Printf.sprintf "    %-18s quiet\n" name))
-            fields
-      | _ -> ()));
-  Buffer.contents b
+let render_timeline ?alerts ~label timeline =
+  match render_exn ?alerts ~label timeline with
+  | s -> Ok s
+  | exception Malformed msg -> Error msg
 
 (* `axmemo top REPORT.json`: render every run row carrying a timeline. *)
 let top_of_report report =
@@ -215,23 +238,25 @@ let top_of_report report =
   | Json.Obj _ -> (
       match Json.member "runs" report with
       | Some (Json.Arr runs) ->
-          let rendered =
-            List.filter_map
-              (fun run ->
+          let rec render acc = function
+            | [] -> Ok (List.rev acc)
+            | run :: rest -> (
                 match Json.member "timeline" run with
-                | Some tl ->
+                | None -> render acc rest
+                | Some tl -> (
                     let label =
                       match (Json.member "benchmark" run, Json.member "config" run) with
                       | Some (Json.Str bm), Some (Json.Str cfg) ->
                           Printf.sprintf "%s / %s" bm cfg
                       | _ -> "run"
                     in
-                    Some (render_timeline ?alerts:(Json.member "alerts" run) ~label tl)
-                | None -> None)
-              runs
+                    match render_timeline ?alerts:(Json.member "alerts" run) ~label tl with
+                    | Ok s -> render (s :: acc) rest
+                    | Error msg -> Error (label ^ ": " ^ msg)))
           in
-          if rendered = [] then
-            Error "report has no \"timeline\" sections (run serve with --watch)"
-          else Ok (String.concat "\n" rendered)
+          (match render [] runs with
+          | Ok [] -> Error "report has no \"timeline\" sections (run serve with --watch)"
+          | Ok rendered -> Ok (String.concat "\n" rendered)
+          | Error _ as e -> e)
       | _ -> Error "not a run report: missing \"runs\" array")
   | _ -> Error "not a run report: top-level value is not an object"

@@ -27,10 +27,18 @@ val sparkline : float array -> string
     empty array renders as the empty string. *)
 
 val render_timeline :
-  ?alerts:Axmemo_util.Json.t -> label:string -> Axmemo_util.Json.t -> string
+  ?alerts:Axmemo_util.Json.t ->
+  label:string ->
+  Axmemo_util.Json.t ->
+  (string, string) result
 (** Render one run's ["timeline"] JSON section (and optional ["alerts"]
-    section) as a per-window table, sparkline summary, and alert status. *)
+    section) as a per-window table, sparkline summary, and alert status.
+    [Error] names a field it cannot render: every leaf it reads
+    must be a finite number, [windows] a count whose [w<i>] members all
+    exist, and [alerts] an object. {!Timeline.to_json} and
+    {!Alert.to_json} always satisfy this. *)
 
 val top_of_report : Axmemo_util.Json.t -> (string, string) result
 (** [axmemo top REPORT.json]: render every run row carrying a timeline;
-    [Error] when the report has none. *)
+    [Error] when the report has none, or ["<run label>: <what is wrong>"]
+    for the first run whose section {!render_timeline} rejects. *)

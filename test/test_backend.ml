@@ -85,13 +85,29 @@ let build_program seed =
   let main = build_main rng in
   { Ir.funcs = [| main; helper |] }
 
+(* Everything an observer sees, one constructor per hook callback. *)
+type event =
+  | Enter of string
+  | Leave of string
+  | Exec of string * int * int * Ir.instr * int
+  | Term of string * int * Ir.terminator
+
+let recording events =
+  let push e = events := e :: !events in
+  {
+    Interp.on_enter = (fun f -> push (Enter f));
+    on_leave = (fun f -> push (Leave f));
+    on_exec = (fun f bidx iidx instr addr -> push (Exec (f, bidx, iidx, instr, addr)));
+    on_term = (fun f bidx term -> push (Term (f, bidx, term)));
+    exec_site = None;
+    term_site = None;
+  }
+
 (* One backend's view of a run: results, step count, full event trace. *)
 let observe backend program arg =
   let events = ref [] in
   let mem = Memory.create () in
-  let i =
-    Interp.create ~backend ~hook:(fun e -> events := e :: !events) ~program ~mem ()
-  in
+  let i = Interp.create ~backend ~hooks:(recording events) ~program ~mem () in
   let out = Interp.run i "main" [| Ir.VI (Int64.of_int arg) |] in
   (out, Interp.steps i, List.rev !events)
 

@@ -14,7 +14,7 @@ let time ?lookup_level ?l2_lut_present fn args =
   let pipe =
     Pipeline.create ?lookup_level ?l2_lut_present ~program ~hierarchy ()
   in
-  let t = Interp.create ~hook:(Pipeline.hook pipe) ~program ~mem:(Memory.create ()) () in
+  let t = Interp.create ~hooks:(Pipeline.hooks pipe) ~program ~mem:(Memory.create ()) () in
   ignore (Interp.run t fn.Ir.fname args);
   Pipeline.stats pipe
 
@@ -157,7 +157,7 @@ let test_crc_queue_backpressure () =
     let program = { Ir.funcs = [| fn |] } in
     let hierarchy = Hierarchy.(create hpi_default) in
     let pipe = Pipeline.create ~crc_bytes_per_cycle:bpc ~program ~hierarchy () in
-    let t = Interp.create ~hook:(Pipeline.hook pipe) ~program ~mem:(Memory.create ()) () in
+    let t = Interp.create ~hooks:(Pipeline.hooks pipe) ~program ~mem:(Memory.create ()) () in
     ignore (Interp.run t "p" [||]);
     Pipeline.stats pipe
   in
@@ -184,7 +184,7 @@ let test_call_ret_timing_and_count () =
   let program = { Ir.funcs = [| main; callee |] } in
   let hierarchy = Hierarchy.(create hpi_default) in
   let pipe = Pipeline.create ~program ~hierarchy () in
-  let t = Interp.create ~hook:(Pipeline.hook pipe) ~program ~mem:(Memory.create ()) () in
+  let t = Interp.create ~hooks:(Pipeline.hooks pipe) ~program ~mem:(Memory.create ()) () in
   ignore (Interp.run t "main" [||]);
   let s = Pipeline.stats pipe in
   (* bl + two rets *)
@@ -197,7 +197,7 @@ let test_seconds () =
   let program = { Ir.funcs = [| straightline "p" [ c0 ] 1 |] } in
   let hierarchy = Hierarchy.(create hpi_default) in
   let pipe = Pipeline.create ~program ~hierarchy () in
-  let t = Interp.create ~hook:(Pipeline.hook pipe) ~program ~mem:(Memory.create ()) () in
+  let t = Interp.create ~hooks:(Pipeline.hooks pipe) ~program ~mem:(Memory.create ()) () in
   ignore (Interp.run t "p" [||]);
   Alcotest.(check bool) "seconds = cycles/freq" true
     (abs_float (Pipeline.seconds pipe -. (float_of_int (Pipeline.cycles pipe) /. 2e9))

@@ -54,7 +54,7 @@ let run_stats instrs =
   let program = { Ir.funcs = [| fn |] } in
   let hierarchy = Hierarchy.(create hpi_default) in
   let pipe = Pipeline.create ~program ~hierarchy () in
-  let t = Interp.create ~hook:(Pipeline.hook pipe) ~program ~mem:(Memory.create ()) () in
+  let t = Interp.create ~hooks:(Pipeline.hooks pipe) ~program ~mem:(Memory.create ()) () in
   ignore (Interp.run t "p" [||]);
   (Pipeline.stats pipe, hierarchy)
 

@@ -13,9 +13,9 @@ let run_func ?memo fn args =
   let t = Interp.create ?memo ~program ~mem () in
   Interp.run t fn.Ir.fname args
 
-let run_program ?memo ?hook funcs entry args mem =
+let run_program ?memo funcs entry args mem =
   let program = { Ir.funcs = Array.of_list funcs } in
-  let t = Interp.create ?memo ?hook ~program ~mem () in
+  let t = Interp.create ?memo ~program ~mem () in
   Interp.run t entry args
 
 let vi = function Ir.VI v -> v | Ir.VF _ -> Alcotest.fail "expected int"
@@ -443,6 +443,17 @@ let test_parse_missing_terminator () =
   let text = "func f() -> () [regs=1]\nentry:\n  r0 = const.i32 1\n" in
   Alcotest.(check bool) "rejected" true (Result.is_error (Parser.parse_program text))
 
+(* A header with its ')' before its '(' and a call line ending at its '('
+   are parse errors, not out-of-range slices. *)
+let test_parse_header_paren_order () =
+  Alcotest.(check bool) "rejected" true (Result.is_error (Parser.parse_program "func f) -> ()\n"))
+
+let test_parse_call_open_paren () =
+  let text = "func f() -> () [regs=1]\nentry:\n  call g(\n  ret\n" in
+  match Parser.parse_program text with
+  | Ok _ -> Alcotest.fail "expected a parse error"
+  | Error e -> Alcotest.(check int) "line number" 3 e.line
+
 let test_parse_rejects_invalid_program () =
   (* Syntactically fine, semantically bad: jump to a missing label. *)
   let text = "func f() -> () [regs=1]\nentry:\n  jmp nowhere\n" in
@@ -735,6 +746,8 @@ let () =
           Alcotest.test_case "errors carry lines" `Quick test_parse_errors_carry_lines;
           Alcotest.test_case "missing terminator" `Quick test_parse_missing_terminator;
           Alcotest.test_case "invalid program" `Quick test_parse_rejects_invalid_program;
+          Alcotest.test_case "header ) before (" `Quick test_parse_header_paren_order;
+          Alcotest.test_case "call ends at (" `Quick test_parse_call_open_paren;
           Alcotest.test_case "roundtrip hand-built" `Quick test_roundtrip_hand_built;
           Alcotest.test_case "roundtrip memo forms" `Quick test_roundtrip_memo_instructions;
           Alcotest.test_case "roundtrip all workloads" `Quick test_roundtrip_all_workload_programs;

@@ -7,14 +7,24 @@ module Payload = Axmemo_ir.Payload
 
 (* --- Lut --- *)
 
+(* A lookup probes one set of [ways] entries, so its cost does not grow
+   with LUT size: from 4 to 16 KB only the set count and capacity grow. *)
 let test_lut_geometry () =
-  let l8 = Lut.create ~payload_bytes:8 ~size_bytes:4096 () in
-  Alcotest.(check int) "4-way for 8B payloads" 4 (Lut.ways l8);
-  Alcotest.(check int) "64 sets" 64 (Lut.sets l8);
-  Alcotest.(check int) "entries" 256 (Lut.capacity_entries l8);
-  let l4 = Lut.create ~payload_bytes:4 ~size_bytes:4096 () in
-  Alcotest.(check int) "8-way for 4B payloads" 8 (Lut.ways l4);
-  Alcotest.(check int) "entries doubled" 512 (Lut.capacity_entries l4)
+  List.iter
+    (fun (payload_bytes, kb, ways, sets, entries) ->
+      let l = Lut.create ~payload_bytes ~size_bytes:(kb * 1024) () in
+      let name what = Printf.sprintf "%dB payloads, %d KB: %s" payload_bytes kb what in
+      Alcotest.(check int) (name "ways") ways (Lut.ways l);
+      Alcotest.(check int) (name "sets") sets (Lut.sets l);
+      Alcotest.(check int) (name "entries") entries (Lut.capacity_entries l))
+    [
+      (8, 4, 4, 64, 256);
+      (8, 8, 4, 128, 512);
+      (8, 16, 4, 256, 1024);
+      (4, 4, 8, 64, 512);
+      (4, 8, 8, 128, 1024);
+      (4, 16, 8, 256, 2048);
+    ]
 
 let test_lut_geometry_invalid () =
   Alcotest.(check bool) "bad payload width" true

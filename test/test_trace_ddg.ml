@@ -12,7 +12,7 @@ let trace_of funcs entry args =
   let program = { Ir.funcs = Array.of_list funcs } in
   let trace = Trace.create ~machine:Machine.hpi ~program () in
   let t =
-    Interp.create ~hook:(Trace.hook trace) ~program ~mem:(Memory.create ()) ()
+    Interp.create ~hooks:(Trace.hooks trace) ~program ~mem:(Memory.create ()) ()
   in
   ignore (Interp.run t entry args);
   trace
@@ -97,7 +97,7 @@ let test_trace_truncation () =
   B.ret b [ B.rv acc ];
   let program = { Ir.funcs = [| B.finish b |] } in
   let trace = Trace.create ~max_entries:50 ~machine:Machine.hpi ~program () in
-  let t = Interp.create ~hook:(Trace.hook trace) ~program ~mem:(Memory.create ()) () in
+  let t = Interp.create ~hooks:(Trace.hooks trace) ~program ~mem:(Memory.create ()) () in
   ignore (Interp.run t "big" [||]);
   Alcotest.(check bool) "truncated" true (Trace.truncated trace);
   Alcotest.(check int) "capped" 50 (Array.length (Trace.entries trace))

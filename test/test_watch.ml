@@ -371,14 +371,15 @@ let test_expo_renders () =
            (List.filter (fun l -> l <> "") (String.split_on_char '\n' log)));
       Alcotest.(check string) "sparkline scales to max" "\xe2\x96\x81\xe2\x96\x88"
         (Expo.sparkline [| 0.0; 9.0 |]);
-      let rendered =
-        Expo.render_timeline
-          ~alerts:(Alert.to_json o.Serve.alerts)
-          ~label:(Serve.label o.Serve.cfg)
-          (Timeline.to_json tl)
-      in
-      Alcotest.(check bool) "table header present" true
-        (contains rendered "admit");
+      (match
+         Expo.render_timeline
+           ~alerts:(Alert.to_json o.Serve.alerts)
+           ~label:(Serve.label o.Serve.cfg)
+           (Timeline.to_json tl)
+       with
+      | Ok rendered ->
+          Alcotest.(check bool) "table header present" true (contains rendered "admit")
+      | Error e -> Alcotest.fail e);
       (* A report built from this outcome feeds `axmemo top`. *)
       (match Expo.top_of_report (Serve.report [ o ]) with
       | Ok s -> Alcotest.(check bool) "top renders the run" true (contains s "win")
@@ -386,6 +387,47 @@ let test_expo_renders () =
       match Expo.top_of_report (Serve.report [ Serve.run (wbase ~watch:None ()) ]) with
       | Ok _ -> Alcotest.fail "top must reject a watch-less report"
       | Error _ -> ()
+
+(* A timeline `top` cannot render faithfully is an error naming the run and
+   the field, never a table of zeros. *)
+let test_top_rejects_malformed () =
+  let report timeline =
+    Json.Obj
+      [
+        ( "runs",
+          Json.Arr
+            [ Json.Obj [ ("benchmark", Json.Str "b"); ("config", Json.Str "c");
+                         ("timeline", timeline) ] ] );
+      ]
+  in
+  let window admitted =
+    Json.Obj
+      (List.map
+         (fun k -> (k, if k = "admitted" then admitted else Json.Int 1))
+         [ "admitted"; "shed"; "completed"; "slo_violations"; "p50"; "p99";
+           "max_queue_depth"; "quality_bad"; "inv_sent" ])
+  in
+  let timeline ?(windows = Json.Int 1) w0 =
+    Json.Obj
+      [ ("window_cycles", Json.Int 10); ("windows", windows); ("merges", Json.Int 0);
+        ("w0", w0) ]
+  in
+  (match Expo.top_of_report (report (timeline (window (Json.Int 3)))) with
+  | Ok s -> Alcotest.(check bool) "well-formed renders" true (contains s "1 windows")
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun (name, tl) ->
+      match Expo.top_of_report (report tl) with
+      | Ok _ -> Alcotest.failf "%s: rendered" name
+      | Error e -> Alcotest.(check bool) (name ^ " names the run") true (contains e "b / c: "))
+    [
+      ("string windows", timeline ~windows:(Json.Str "many") (window (Json.Int 3)));
+      ("string admitted", timeline (window (Json.Str "many")));
+      ("null admitted", timeline (window Json.Null));
+      ("non-finite admitted", timeline (window (Json.Float Float.infinity)));
+      ("windows beyond members", timeline ~windows:(Json.Int 3_000_000) (window (Json.Int 3)));
+      ("fractional windows", timeline ~windows:(Json.Float 0.5) (window (Json.Int 3)));
+    ]
 
 (* --- decayed-L3 reads feed the per-window quality counters ---------------- *)
 
@@ -504,5 +546,7 @@ let () =
       ( "percentiles",
         [ Alcotest.test_case "edge contract" `Quick test_percentile_edges ] );
       ( "expo",
-        [ Alcotest.test_case "renderers" `Quick test_expo_renders ] );
+        [ Alcotest.test_case "renderers" `Quick test_expo_renders;
+          Alcotest.test_case "top rejects malformed timelines" `Quick
+            test_top_rejects_malformed ] );
     ]
