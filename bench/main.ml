@@ -802,11 +802,7 @@ let perf_smoke () =
             if wall then [ ("sim_wall_seconds", Json.Float r.sim_wall_seconds) ]
             else []);
           metrics = snapshot;
-          profile = None;
-          service = None;
-              cluster = None;
-              timeline = None;
-              alerts = None;
+          sections = [];
         })
       cell_benchmarks pairs
   in

@@ -201,30 +201,35 @@ let print_seed quiet =
     | 0L -> ()
     | s -> Printf.printf "root seed        %Ld\n" s
 
-(* Flat scalar facts of one run, shared by the [run] and [sweep] reports. *)
-let summary_of ?base (r : Runner.result) =
-  [
-    ("cycles", Json.Int r.cycles);
-    ("seconds", Json.Float r.seconds);
-    ("dyn_normal", Json.Int r.dyn_normal);
-    ("dyn_memo", Json.Int r.dyn_memo);
-    ("energy_pj", Json.Float r.energy.total_pj);
-    ("lookups", Json.Int r.lookups);
-    ("hits", Json.Int r.hits);
-    ("hit_rate", Json.Float r.hit_rate);
-    ("collisions", Json.Int r.collisions);
-    ("memo_disabled", Json.Bool r.memo_disabled);
-  ]
-  @
-  match base with
-  | None -> []
-  | Some (b : Runner.result) ->
-      [
-        ("speedup", Json.Float (Runner.speedup ~baseline:b r));
-        ("energy_saving", Json.Float (Runner.energy_saving ~baseline:b r));
-        ( "quality_loss",
-          Json.Float (W.Workload.quality_loss ~reference:b.outputs ~approx:r.outputs) );
-      ]
+(* One report row per run: its flat scalar facts (with speedup, energy
+   saving and quality loss against [base], when given), its metrics and
+   [sections]; shared by the [run], [sweep] and [profile] reports. *)
+let run_row ?base ?(sections = []) bench metrics (r : Runner.result) =
+  let summary =
+    [
+      ("cycles", Json.Int r.cycles);
+      ("seconds", Json.Float r.seconds);
+      ("dyn_normal", Json.Int r.dyn_normal);
+      ("dyn_memo", Json.Int r.dyn_memo);
+      ("energy_pj", Json.Float r.energy.total_pj);
+      ("lookups", Json.Int r.lookups);
+      ("hits", Json.Int r.hits);
+      ("hit_rate", Json.Float r.hit_rate);
+      ("collisions", Json.Int r.collisions);
+      ("memo_disabled", Json.Bool r.memo_disabled);
+    ]
+    @
+    match base with
+    | None -> []
+    | Some (b : Runner.result) ->
+        [
+          ("speedup", Json.Float (Runner.speedup ~baseline:b r));
+          ("energy_saving", Json.Float (Runner.energy_saving ~baseline:b r));
+          ( "quality_loss",
+            Json.Float (W.Workload.quality_loss ~reference:b.outputs ~approx:r.outputs) );
+        ]
+  in
+  { Report.benchmark = bench; config = r.label; summary; metrics; sections }
 
 let print_result ~base (r : Runner.result) =
   Printf.printf "configuration    %s\n" r.label;
@@ -275,19 +280,7 @@ let run_cmd =
     if not quiet then print_result ~base r;
     Option.iter
       (fun reg ->
-        let report_run =
-          {
-            Report.benchmark = bench;
-            config = r.label;
-            summary = summary_of ?base r;
-            metrics = Registry.snapshot reg;
-            profile = None;
-            service = None;
-            cluster = None;
-            timeline = None;
-            alerts = None;
-          }
-        in
+        let report_run = run_row ?base bench (Registry.snapshot reg) r in
         Option.iter
           (fun path -> Report.write ~extra:(seed_extra ()) path [ report_run ])
           metrics;
@@ -384,17 +377,7 @@ let sweep_cmd =
                List.map2
                  (fun (r : Runner.result) snapshot ->
                    let base = if r.label = base.label then None else Some base in
-                   {
-                     Report.benchmark = m.name;
-                     config = r.label;
-                     summary = summary_of ?base r;
-                     metrics = snapshot;
-                     profile = None;
-                     service = None;
-              cluster = None;
-              timeline = None;
-              alerts = None;
-                   })
+                   run_row ?base m.name snapshot r)
                  rs snaps)
              selected)
       in
@@ -709,8 +692,8 @@ let corun_profile_arg =
            report's $(b,cluster) array its own, and shared-LUT arbitration \
            stalls are charged back to core and region.")
 
-(* Corun only: every node of a multi-node cluster seeds its injector from
-   the same fault spec, so its nodes would replay one upset stream. *)
+(* Corun only: in the shared node flags it would add an option to cluster,
+   serve and snapshot save. *)
 let fault_rate_arg =
   Arg.(
     value
@@ -750,7 +733,8 @@ let corun_cmd =
     apply_seed seed;
     print_seed quiet;
     let sites = Fault_model.[ L2_tag; L2_payload; L2_valid; L2_lru ] in
-    let faults = Option.map (fun rate -> { Fault_model.default with rate; sites }) fault_rate in
+    let seed = Rng.derive_stream Fault_model.default.Fault_model.seed in
+    let faults = Option.map (fun rate -> { Fault_model.default with rate; sites; seed }) fault_rate in
     (* A co-run is a 1-node cluster. *)
     let cfgs =
       List.map
@@ -872,7 +856,7 @@ let serve_nodes_arg =
           "Service nodes. 1 (the default) serves from a single co-run \
            cluster; more shard the LUT key space across $(docv) nodes of \
            $(b,--cores) cores each, with directory invalidation and the \
-           modeled interconnect, and the report gains the cluster section.")
+           modeled interconnect.")
 
 let watch_arg =
   Arg.(
@@ -1361,17 +1345,9 @@ let profile_cmd =
       (fun path ->
         Report.write ~extra:(seed_extra ()) path
           [
-            {
-              Report.benchmark = bench;
-              config = r.Runner.label;
-              summary = summary_of ?base:(Option.map fst base) r;
-              metrics = Registry.snapshot reg;
-              profile = Some (Profile.to_json snap);
-              service = None;
-              cluster = None;
-              timeline = None;
-              alerts = None;
-            };
+            run_row ?base:(Option.map fst base)
+              ~sections:[ ("profile", Profile.to_json snap) ]
+              bench (Registry.snapshot reg) r;
           ])
       metrics
   in
@@ -1414,7 +1390,9 @@ let diff_cmd =
       & info [ "gate" ]
           ~doc:
             "Exit non-zero when any metric moves outside tolerance or a run \
-             is missing on either side — the CI regression gate.")
+             is missing on either side — the CI regression gate. Under \
+             $(b,--quiet) a failing gate still writes its MISSING/FAIL lines \
+             and verdict to stderr; a passing one stays silent.")
   in
   let show_all_arg =
     Arg.(
@@ -1438,7 +1416,12 @@ let diff_cmd =
         exit 2
     | Ok d ->
         if not quiet then print_string (Diff.render ~show_all d);
-        if gate && not (Diff.gate_ok d) then exit 1
+        (* A failing gate names what moved even under --quiet (on stderr),
+           so a red CI step says which report and metric broke. *)
+        if gate && not (Diff.gate_ok d) then begin
+          if quiet then prerr_string (Diff.render d);
+          exit 1
+        end
   in
   Cmd.v (Cmd.info "diff" ~doc)
     Term.(

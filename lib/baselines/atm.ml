@@ -66,13 +66,15 @@ let emit_task_overhead ~fresh ~scratch_base =
   done;
   List.rev !instrs
 
-let hasher ~seed : Sw_engine.hasher =
-  let rng = Rng.create seed in
+(* One fixed index shuffle (seed 1337), so every build samples the same
+   input bytes. *)
+let hasher () : Sw_engine.hasher =
+  let rng = Rng.create 1337L in
   {
     name = "atm-sampling";
     emit_hash = (fun ~fresh ~inputs ~table_mask -> emit_sample_hash ~rng ~fresh ~inputs ~table_mask);
     emit_overhead = emit_task_overhead;
   }
 
-let memoize ?(seed = 1337L) ~mem ~table_log2 ~entry ?barrier program regions =
-  Sw_engine.memoize ~hasher:(hasher ~seed) ~mem ~table_log2 ~entry ?barrier program regions
+let memoize ~mem ~table_log2 ~entry ?barrier program regions =
+  Sw_engine.memoize ~hasher:(hasher ()) ~mem ~table_log2 ~entry ?barrier program regions

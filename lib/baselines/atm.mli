@@ -14,7 +14,6 @@ val sampled_bytes : int
 (** Number of input bytes the hash samples (8). *)
 
 val memoize :
-  ?seed:int64 ->
   mem:Axmemo_ir.Memory.t ->
   table_log2:int ->
   entry:string ->
@@ -22,6 +21,5 @@ val memoize :
   Axmemo_ir.Ir.program ->
   Axmemo_compiler.Transform.region list ->
   Axmemo_ir.Ir.program
-(** [seed] fixes the index shuffle (default 1337). *)
-
-val hasher : seed:int64 -> Sw_engine.hasher
+(** The index shuffle is fixed (seed 1337), so every build samples the
+    same input bytes. *)

@@ -18,7 +18,3 @@ val memoize :
 (** Allocates the 256-entry CRC step table (filled with the real CRC-32
     constants) and one [2^table_log2]-entry LUT per region inside [mem],
     then rewrites all call sites. *)
-
-val hasher : mem:Axmemo_ir.Memory.t -> Sw_engine.hasher
-(** The CRC-32 hasher (exposed for tests); allocates and fills the step
-    table in [mem]. *)

@@ -30,6 +30,7 @@ module Schedule = Axmemo_multicore.Schedule
 module Memo_unit = Axmemo_memo.Memo_unit
 module Model = Axmemo_energy.Model
 module Injector = Axmemo_faults.Injector
+module Fault_model = Axmemo_faults.Fault_model
 module Workloads = Axmemo_workloads.Registry
 module Registry = Axmemo_telemetry.Registry
 module Report = Axmemo_telemetry.Report
@@ -357,6 +358,18 @@ let validate (cfg : config) =
   if not (Float.is_finite cfg.net_hop_pj && cfg.net_hop_pj >= 0.0) then
     invalid_arg "Cluster: net_hop_pj must be finite and non-negative"
 
+(* Node j's shape: node 0 keeps the fault spec's seed, so a 1-node
+   cluster replays the co-run's upset stream, and every other node hashes
+   its index into the seed, so nodes do not strike in lockstep. A hash of 0
+   (a seed the injector rejects) falls back to the index itself. *)
+let node_config (node : Corun.config) j =
+  match node.Corun.faults with
+  | Some spec when j > 0 ->
+      let seed = Rng.int64 (Rng.create (Int64.add spec.Fault_model.seed (Int64.of_int j))) in
+      let seed = if seed = 0L then Int64.of_int j else seed in
+      { node with Corun.faults = Some { spec with Fault_model.seed } }
+  | _ -> node
+
 let create ?(metrics = false) ?(profile = false) (cfg : config) =
   validate cfg;
   let npc = cfg.node.Corun.ncores in
@@ -366,7 +379,9 @@ let create ?(metrics = false) ?(profile = false) (cfg : config) =
      eagerly inside create_cluster (before the record exists), so the
      routed port is forced lazily on first access; no request can run
      before wiring completes. A 1-node cluster takes neither hook, so it
-     is the Corun model verbatim. *)
+     is the Corun model verbatim: a port would add a closure call to every
+     shared-LUT access on the serve path, and it would count those accesses
+     into the section's shard_accesses, changing every co-run report. *)
   let tref = ref None in
   let the () =
     match !tref with Some t -> t | None -> failwith "Cluster: port used before wiring"
@@ -390,7 +405,7 @@ let create ?(metrics = false) ?(profile = false) (cfg : config) =
                     (Lazy.force port).Memo_unit.sl_invalidate ~lut_id);
               })
             ~on_invalidate:(fun ~core ~lut ~at -> on_invalidate (the ()) nid ~core ~lut ~at)
-            cfg.node)
+            (node_config cfg.node nid))
   in
   let t =
     {
@@ -434,7 +449,6 @@ let create ?(metrics = false) ?(profile = false) (cfg : config) =
   t
 
 let nodes t = t.cfg.nodes
-let cores_per_node t = t.npc
 let global_cores t = t.gcores
 let node_cluster t ~node = t.nodes.(node)
 
@@ -1149,14 +1163,11 @@ let report_runs outcomes =
             ("shard_balance_jain", Json.Float o.shard_balance);
           ];
         metrics = Registry.decimate ~cap:default_series_cap metrics;
-        profile =
-          Option.map
-            (fun ps -> Profile.to_json (Profile.merge (Array.to_list ps)))
-            o.profiles;
-        service = None;
-        cluster = Some o.cluster_section;
-        timeline = None;
-        alerts = None;
+        sections =
+          (match o.profiles with
+          | None -> []
+          | Some ps -> [ ("profile", Profile.to_json (Profile.merge (Array.to_list ps))) ])
+          @ [ ("cluster", o.cluster_section) ];
       })
     outcomes
 

@@ -82,11 +82,12 @@ type t
 val create : ?metrics:bool -> ?profile:bool -> config -> t
 (** Builds the M nodes ({!Corun.create_cluster} each, with the shard-
     routing L2 port and the directory invalidate hook installed when
-    [nodes > 1]) plus the interconnect arbiter and directory state.
+    [nodes > 1]) plus the interconnect arbiter and directory state. Node
+    [j > 0] seeds its fault injector from the spec's seed mixed with [j],
+    so nodes strike independently; node 0 keeps the seed as given.
     @raise Invalid_argument as {!validate}. *)
 
 val nodes : t -> int
-val cores_per_node : t -> int
 val global_cores : t -> int
 
 val node_cluster : t -> node:int -> Corun.cluster

@@ -279,7 +279,7 @@ let plan config (instance : Workload.instance) =
   | Hw_custom { unit_cfg; approximate; crc_bytes_per_cycle; _ } ->
       hardware ~approximate ~total_l2:None ~crc_bytes_per_cycle unit_cfg
   | Software { table_log2 } -> software Axmemo_baselines.Software_memo.memoize table_log2
-  | Atm { table_log2 } -> software (Axmemo_baselines.Atm.memoize ?seed:None) table_log2
+  | Atm { table_log2 } -> software Axmemo_baselines.Atm.memoize table_log2
 
 let lookup_level unit () =
   match Memo_unit.last_lookup_level unit with

@@ -181,11 +181,7 @@ let run ?jobs cfg benchmarks ~variant =
               config = r.label;
               summary = summary ~extra r;
               metrics = snap;
-              profile = None;
-              service = None;
-              cluster = None;
-              timeline = None;
-              alerts = None;
+              sections = [];
             }
           in
           runs := mk_run base_snap base [] :: !runs;

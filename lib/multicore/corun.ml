@@ -296,14 +296,6 @@ let monitor_observed cluster =
       (s + s', b + b', t + if Memo_unit.disabled c.unit_ then 1 else 0))
     (0, 0, 0) cluster.cores
 
-(* Retired [invalidate] instructions so far, summed over the cores: each
-   unit's own invalidations counter, which only the issuing unit bumps
-   (Memo_unit.invalidate_external leaves the receiving peers' alone). *)
-let invalidations_sent cluster =
-  Array.fold_left
-    (fun acc c -> acc + (Memo_unit.stats c.unit_).Memo_unit.invalidations)
-    0 cluster.cores
-
 let dram_lut cluster = cluster.l3
 let fault_stats cluster = Option.map Injector.stats cluster.injector
 let collectors cluster = cluster.profiles

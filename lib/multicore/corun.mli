@@ -28,7 +28,8 @@ type config = {
           the standalone epilogue and a 1-core co-run replays [Runner.run]
           bit for bit *)
   faults : Axmemo_faults.Fault_model.spec option;
-      (** when set, upsets strike the shared LUT's storage *)
+      (** when set, upsets strike the shared LUT's storage
+          ([Axmemo_cluster.Cluster.create] re-seeds it per node) *)
   l3 : Axmemo_tier.Dram_lut.config option;
       (** when set, a DRAM-resident LUT tier sits behind the shared level:
           shared-LUT victims spill into it, every core's SRAM miss probes
@@ -104,13 +105,6 @@ val monitor_observed : cluster -> int * int * int
     [(samples, bad, tripped_cores)]. Monotone over a run — the timeline
     sampler diffs consecutive reads to attribute quality activity to
     service windows. *)
-
-val invalidations_sent : cluster -> int
-(** Retired [invalidate] instructions so far, summed over the cores. Each
-    one counts once, on the issuing core's unit: the broadcast to the
-    peers' L1s ({!memo_hooks}) does not count again on the receivers, so
-    a 1-core and a 2-core node retiring the same invalidates report the
-    same total. Monotone; the 1-node timeline sampler's [inv_sent]. *)
 
 val dram_lut : cluster -> Axmemo_tier.Dram_lut.t option
 (** The cluster's DRAM tier, when the config asked for one. *)

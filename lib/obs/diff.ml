@@ -114,32 +114,24 @@ let flatten_run run =
   (match Json.member "summary" run with
   | Some (Json.Obj kvs) -> List.iter (emit_json "summary.") kvs
   | _ -> ());
-  (* The optional "service" section nests (latency percentiles per class),
-     so it flattens recursively: every scalar leaf becomes a
-     service.<path>.<leaf> metric and is gate-visible like the summary.
-     Arrays are skipped, same as everywhere else in the differ. *)
+  (* Every other object member of the row is a report section
+     (Report.run's sections: profile, service, cluster, timeline, alerts).
+     Sections nest, so each flattens recursively: every scalar leaf becomes
+     a <section>.<path> metric and is gate-visible like the summary. Arrays
+     are skipped, same as everywhere else in the differ. *)
   let rec emit_tree prefix (name, v) =
     match (v : Json.t) with
     | Obj kvs -> List.iter (emit_tree (prefix ^ name ^ ".")) kvs
     | _ -> emit_json prefix (name, v)
   in
-  (match Json.member "service" run with
-  | Some (Json.Obj kvs) -> List.iter (emit_tree "service.") kvs
-  | _ -> ());
-  (* The sharded-cluster section gates the same way: shard balance,
-     directory traffic and replication shares all become cluster.<path>
-     metrics. *)
-  (match Json.member "cluster" run with
-  | Some (Json.Obj kvs) -> List.iter (emit_tree "cluster.") kvs
-  | _ -> ());
-  (* Live-timeline and alert sections flatten the same way, so a shifted
-     per-window delta (timeline.w3.admitted) or an alert that starts or
-     stops firing (alerts.slo_burn.fired) is a gated regression. *)
-  (match Json.member "timeline" run with
-  | Some (Json.Obj kvs) -> List.iter (emit_tree "timeline.") kvs
-  | _ -> ());
-  (match Json.member "alerts" run with
-  | Some (Json.Obj kvs) -> List.iter (emit_tree "alerts.") kvs
+  (match run with
+  | Json.Obj members ->
+      List.iter
+        (function
+          | ("summary" | "metrics"), _ -> ()
+          | name, Json.Obj kvs -> List.iter (emit_tree (name ^ ".")) kvs
+          | _ -> ())
+        members
   | _ -> ());
   (match Json.member "metrics" run with
   | Some metrics ->

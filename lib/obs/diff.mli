@@ -3,14 +3,14 @@
     Loads two schema-v1 run reports (see {!Axmemo_telemetry.Report}),
     aligns their runs by [(benchmark, config)], and compares every scalar
     metric: [summary.<key>], [counters.<name>], [gauges.<name>],
-    [histograms.<name>.total]/[.sum], and — when a run carries the
-    optional service-level section — every scalar leaf of it as
-    [service.<path>] (nested objects dot-flattened, so a latency
-    percentile gates as e.g. [service.total_latency.p999]) — and the same
-    for the optional sharded-cluster section as [cluster.<path>]. Series
-    carry
-    a time axis and are skipped; non-numeric fields (strings) are
-    compared for equality and reported as a violation when they differ.
+    [histograms.<name>.total]/[.sum], and every scalar leaf of each report
+    section (every other object member of a run, e.g. [profile],
+    [service], [cluster], [timeline], [alerts]) as [<section>.<path>],
+    nested objects dot-flattened — so a latency percentile gates as e.g.
+    [service.total_latency_cycles.p999] and a profile total as
+    [profile.total_cycles]. Series and arrays are skipped; non-numeric
+    fields (strings) are compared for equality and reported as a violation
+    when they differ.
 
     The simulator is deterministic, so the default tolerance is {e
     exact}: any numeric drift is a violation unless the tolerance spec

@@ -39,9 +39,7 @@ let default_watch = { window_cycles = 0; rules = Alert.default_rules }
 
 type config = {
   cluster : Corun.config;
-  nodes : int;
-      (* cluster nodes, each of shape cfg.cluster; a one-node report row
-         has no "cluster" section and unprefixed registry names *)
+  nodes : int;  (* cluster nodes, each of shape cfg.cluster *)
   arrival : Arrival.kind;
   load : float;
       (* offered load as a fraction of cluster capacity: the arrival rate is
@@ -70,9 +68,10 @@ let default =
 
 (* [base_label] deliberately ignores [warm_start]: it keys the arrival
    stream's seed, so a warm-started run faces exactly the arrival sequence
-   its cold twin does — the only difference between them is LUT state. The
-   nodes suffix appears only for multi-node runs, keeping single-node
-   labels (and the arrival streams they key) unchanged. *)
+   its cold twin does — the only difference between them is LUT state. For
+   the same reason the nodes suffix appears only for multi-node runs: a
+   ",nodes=1" suffix would re-key, and so change, every one-node arrival
+   stream. *)
 let base_label cfg =
   Printf.sprintf "serve(%s,load=%g,%dcore,%s,q=%d,%s%s)"
     (Arrival.kind_name cfg.arrival)
@@ -164,9 +163,7 @@ type outcome = {
   shared_accesses : int;
   contended_accesses : int;
   trace_unmatched_ends : int;
-  cluster_section : Json.t option;
-      (* the sharded-cluster report section; None on single-node runs so
-         their report rows stay byte-identical *)
+  cluster_section : Json.t;  (* the "cluster" report section *)
   timeline : Timeline.t option;  (* present iff cfg.watch is *)
   alerts : Alert.result list;  (* empty when watch is off *)
   snapshots : (string * Registry.snapshot) list;
@@ -240,13 +237,9 @@ let run (cfg : config) =
   (* Traffic attribution for the watch sampler: cumulative counters
      bracketing each request's execution. Requests run one at a time, so
      the per-request delta is exact — and when watch is off no probe is
-     taken, leaving the execution path untouched. On one node there are no
-     node messages, and inv_sent counts retired invalidates instead. *)
+     taken, leaving the execution path untouched. *)
   let probe () =
-    let remote_probes, inv_sent, net_messages =
-      if cfg.nodes > 1 then Cluster.watch_traffic t
-      else (0, Corun.invalidations_sent (Cluster.node_cluster t ~node:0), 0)
-    in
+    let remote_probes, inv_sent, net_messages = Cluster.watch_traffic t in
     let samples, bad, trips = Cluster.monitor_observed t in
     {
       Timeline.remote_probes;
@@ -407,11 +400,9 @@ let run (cfg : config) =
   Tracer.name_thread tr ~tid:0 "admission";
   for c = 0 to ncores - 1 do
     Tracer.name_thread tr ~tid:(c + 1)
-      (if cfg.nodes > 1 then
-         Printf.sprintf "n%d core %d"
-           (c / cfg.cluster.Corun.ncores)
-           (c mod cfg.cluster.Corun.ncores)
-       else Printf.sprintf "core %d" c)
+      (Printf.sprintf "n%d core %d"
+         (c / cfg.cluster.Corun.ncores)
+         (c mod cfg.cluster.Corun.ncores))
   done;
   let span_name rid workload = Printf.sprintf "r%d:%s" rid workload in
   let events =
@@ -453,17 +444,7 @@ let run (cfg : config) =
     events;
   let trace_unmatched_ends = Tracer.unmatched_ends tr in
   Registry.set_count c_unmatched trace_unmatched_ends;
-  (* One node keeps the node's own registry names (core<i>, cluster), so
-     the n0. prefix comes off. *)
-  let cluster_snaps =
-    if cfg.nodes > 1 then Cluster.snapshots t
-    else
-      List.map
-        (fun (who, snap) -> (String.sub who 3 (String.length who - 3), snap))
-        (Cluster.snapshots t)
-  in
-  let snapshots = ("serve", Registry.snapshot reg) :: cluster_snaps in
-  let serve_snap = List.assoc "serve" snapshots in
+  let serve_snap = Registry.snapshot reg in
   let max_of f =
     List.fold_left (fun m r -> Float.max m (float_of_int (f r))) 0.0 records
   in
@@ -503,11 +484,10 @@ let run (cfg : config) =
     shared_accesses = settled.Cluster.shared_accesses;
     contended_accesses = settled.Cluster.contended_accesses;
     trace_unmatched_ends;
-    cluster_section =
-      (if cfg.nodes > 1 then Some (Cluster.section t ~settled) else None);
+    cluster_section = Cluster.section t ~settled;
     timeline;
     alerts;
-    snapshots;
+    snapshots = ("serve", serve_snap) :: Cluster.snapshots t;
     tracer = tr;
     sim_wall_seconds = Unix.gettimeofday () -. wall0;
   }
@@ -531,28 +511,19 @@ let sweep_loads = [ 0.25; 0.5; 0.75; 1.0; 1.25; 1.5; 2.0 ]
 let saturation_shed_threshold = 0.01
 
 let saturation outcomes =
+  let key o =
+    ( o.cfg.nodes * o.cfg.cluster.Corun.ncores,
+      Shared_lut.partition_name o.cfg.cluster.Corun.partition,
+      Arrival.kind_name o.cfg.arrival )
+  in
   let keys =
     List.fold_left
-      (fun acc o ->
-        let k =
-          ( o.cfg.nodes * o.cfg.cluster.Corun.ncores,
-            Shared_lut.partition_name o.cfg.cluster.Corun.partition,
-            Arrival.kind_name o.cfg.arrival )
-        in
-        if List.mem k acc then acc else acc @ [ k ])
+      (fun acc o -> if List.mem (key o) acc then acc else acc @ [ key o ])
       [] outcomes
   in
   List.map
     (fun ((nc, part, arr) as k) ->
-      let group =
-        List.filter
-          (fun o ->
-            ( o.cfg.nodes * o.cfg.cluster.Corun.ncores,
-              Shared_lut.partition_name o.cfg.cluster.Corun.partition,
-              Arrival.kind_name o.cfg.arrival )
-            = k)
-          outcomes
-      in
+      let group = List.filter (fun o -> key o = k) outcomes in
       let ok = List.filter (fun o -> o.shed_rate <= saturation_shed_threshold) group in
       let best =
         List.fold_left
@@ -644,38 +615,25 @@ let service_json o =
     ]
     @ warm_fields)
 
-(* One report row per outcome: the serve registry concatenated with the
-   cluster registry (names are disjoint and the union re-sorted, keeping
-   series — Registry.merge would drop them). sim_wall_seconds enters the
-   summary only on request, so default reports stay byte-identical across
-   machines and --jobs settings while the smoke artifact can still gate
-   simulator throughput with a loose tolerance. *)
+(* One report row per outcome: the serve registry concatenated with each
+   node's shared-level registry, named n<j>.cluster.<metric> as in a cluster
+   row (names are disjoint and the union re-sorted, keeping series —
+   Registry.merge would drop them). sim_wall_seconds enters the summary
+   only on request, so default reports stay byte-identical across machines
+   and --jobs settings while the smoke artifact can still gate simulator
+   throughput with a loose tolerance. *)
 let report_runs ?(wall = false) outcomes =
   List.map
     (fun o ->
-      let serve_snap = List.assoc "serve" o.snapshots in
-      (* Shared-level registries ride on the row: the single ["cluster"]
-         registry as-is, and on multi-node runs each node's ["n<j>.cluster"]
-         registry with its metric names under the same n<j>. prefix (names
-         stay disjoint, so the re-sorted union keeps every series). *)
-      let cluster_snap =
+      let metrics =
         List.concat_map
           (fun (who, snap) ->
-            if who = "cluster" then snap
-            else
-              match String.index_opt who '.' with
-              | Some i
-                when String.length who > 1
-                     && who.[0] = 'n'
-                     && String.sub who (i + 1) (String.length who - i - 1)
-                        = "cluster" ->
-                  let prefix = String.sub who 0 (i + 1) in
-                  List.map (fun (k, v) -> (prefix ^ k, v)) snap
-              | _ -> [])
+            if who = "serve" then snap
+            else if String.ends_with ~suffix:".cluster" who then
+              List.map (fun (k, v) -> (who ^ "." ^ k, v)) snap
+            else [])
           o.snapshots
-      in
-      let metrics =
-        List.sort (fun (a, _) (b, _) -> compare a b) (serve_snap @ cluster_snap)
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
       in
       {
         Report.benchmark = String.concat "+" o.cfg.cluster.Corun.workloads;
@@ -690,14 +648,12 @@ let report_runs ?(wall = false) outcomes =
           ]
           @ (if wall then [ ("sim_wall_seconds", Json.Float o.sim_wall_seconds) ] else []);
         metrics = Registry.decimate ~cap:Cluster.default_series_cap metrics;
-        profile = None;
-        service = Some (service_json o);
-        cluster = o.cluster_section;
-        timeline = Option.map Timeline.to_json o.timeline;
-        alerts =
-          (match o.timeline with
-          | None -> None
-          | Some _ -> Some (Alert.to_json o.alerts));
+        sections =
+          [ ("service", service_json o); ("cluster", o.cluster_section) ]
+          @
+          match o.timeline with
+          | None -> []
+          | Some tl -> [ ("timeline", Timeline.to_json tl); ("alerts", Alert.to_json o.alerts) ];
       })
     outcomes
 

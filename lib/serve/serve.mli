@@ -35,16 +35,14 @@ val default_watch : watch_config
 
 type config = {
   cluster : Axmemo_multicore.Corun.config;
-      (** cores, LUT sizes, partition policy, mix and request count (the
-          per-node shape when [nodes > 1]) *)
+      (** the per-node shape: cores, LUT sizes, partition policy, mix and
+          request count *)
   nodes : int;
       (** cluster nodes, each of shape [cluster]. One node (the default)
-          is the co-run: its report row has no ["cluster"] section, its
-          registries keep the node's own names ([core<i>], [cluster]), and
-          the timeline's [inv_sent] counts retired invalidates. [> 1] adds
-          directory invalidation and the modeled interconnect; the report
-          row gains the ["cluster"] section and per-node [n<j>.]-prefixed
-          metrics. *)
+          is the co-run; [> 1] adds directory invalidation and the modeled
+          interconnect. Every node count is reported the same way: the
+          row carries the ["cluster"] section, and registries keep
+          {!Axmemo_cluster.Cluster.snapshots}' [n<j>.] names. *)
   arrival : Arrival.kind;
   load : float;
       (** offered load as a fraction of cluster capacity; 1.0 = one mean
@@ -144,11 +142,13 @@ type outcome = {
           timeline — nonzero means the span bookkeeping went unbalanced;
           surfaced as the [serve.trace.unmatched_ends] counter and in the
           ["service"] section so the diff gate pins it at 0 *)
-  cluster_section : Axmemo_util.Json.t option;
-      (** the sharded-cluster report section (shard balance, directory
-          traffic, replication, interconnect accounting), attached to the
-          report row and regression-gated as [cluster.<path>]; [None] on
-          single-node runs so their rows stay byte-identical *)
+  cluster_section : Axmemo_util.Json.t;
+      (** the ["cluster"] report section ({!Axmemo_cluster.Cluster.section}:
+          shard balance, directory traffic, replication, interconnect
+          accounting), attached to every report row and regression-gated
+          as [cluster.<path>]; byte-identical to the section
+          {!Axmemo_cluster.Cluster.run} renders for the same closed
+          stream *)
   timeline : Axmemo_watch.Timeline.t option;
       (** the live windowed timeline, present iff [cfg.watch] is; attached
           to the report row as the ["timeline"] section and regression-gated
@@ -158,11 +158,12 @@ type outcome = {
           off; the ["alerts"] report section, gated as [alerts.<path>] *)
   snapshots : (string * Axmemo_telemetry.Registry.snapshot) list;
       (** ["serve"] (lifecycle counters, latency histograms, queue-depth
-          series) plus the cluster registries *)
+          series) plus {!Axmemo_cluster.Cluster.snapshots}' registries,
+          named [n<j>.core<i>] and [n<j>.cluster] *)
   tracer : Axmemo_telemetry.Tracer.t;
       (** the request timeline: arrivals/sheds as instants on the
           "admission" row (tid 0), each served request as a span on its
-          core's row (tid [core+1]) *)
+          global core's row (tid [core+1], named ["n<j> core <i>"]) *)
   sim_wall_seconds : float;  (** host wall clock; outside the bit-identity
           contract and off the reports unless [~wall:true] *)
 }
@@ -201,23 +202,19 @@ val saturation : outcome list -> saturation_point list
     first-appearance order, and reports each group's saturation point — the
     highest offered load still served with [shed_rate <= 0.01]. *)
 
-val saturation_json : saturation_point list -> Axmemo_util.Json.t
-
 (** {1 Reports} *)
 
-val service_json : outcome -> Axmemo_util.Json.t
-(** The ["service"] report section: arrival process, offered load,
-    queue/shed accounting, latency percentiles, SLO rates, warm/cold hit
-    rates, contention, and [trace_unmatched_ends]. Numeric leaves are
-    flattened by [Obs.Diff] as [service.<path>] metrics, so everything here
-    is regression-gated. *)
-
 val report_runs : ?wall:bool -> outcome list -> Axmemo_telemetry.Report.run list
-(** One report row per outcome: the serve registry concatenated with the
-    cluster registry (disjoint names re-sorted; series survive, unlike
-    under [Registry.merge], decimated to
-    {!Axmemo_cluster.Cluster.default_series_cap}) and the ["service"]
-    section attached.
+(** One report row per outcome: the serve registry concatenated with each
+    node's shared-level registry (the [n<j>.cluster] snapshot), whose
+    metrics keep their cluster-row names [n<j>.cluster.<metric>] (disjoint
+    names re-sorted; series survive, unlike under [Registry.merge],
+    decimated to {!Axmemo_cluster.Cluster.default_series_cap}). The
+    sections are ["service"] (arrival process, offered load, queue/shed
+    accounting, latency percentiles, SLO rates, warm/cold hit rates,
+    contention, [trace_unmatched_ends]) and ["cluster"], then
+    ["timeline"] and ["alerts"] when watch is on; [Obs.Diff] gates every
+    scalar leaf of each.
     [~wall:true] adds [sim_wall_seconds] to the summary — leave it off
     (default) wherever byte-identical reports matter. *)
 

@@ -7,14 +7,10 @@ type run = {
   config : string;
   summary : (string * Json.t) list;
   metrics : Registry.snapshot;
-  profile : Json.t option;
-  service : Json.t option;
-  cluster : Json.t option;
-  timeline : Json.t option;
-  alerts : Json.t option;
+  sections : (string * Json.t) list;
 }
 
-(* Optional sections render only when present, so reports without them are
+(* Sections render in order after the metrics, so a row without any is
    byte-identical to pre-section schema-v1 output — additive fields never
    bump the schema version. *)
 let run_json r =
@@ -25,11 +21,7 @@ let run_json r =
        ("summary", Json.Obj r.summary);
        ("metrics", Registry.to_json r.metrics);
      ]
-    @ (match r.profile with None -> [] | Some p -> [ ("profile", p) ])
-    @ (match r.service with None -> [] | Some s -> [ ("service", s) ])
-    @ (match r.cluster with None -> [] | Some c -> [ ("cluster", c) ])
-    @ (match r.timeline with None -> [] | Some t -> [ ("timeline", t) ])
-    @ match r.alerts with None -> [] | Some a -> [ ("alerts", a) ])
+    @ r.sections)
 
 (* Duplicate (benchmark, config) keys would make the report ambiguous for
    every aligning consumer (Obs.Diff, CSV pivots), so they are a caller

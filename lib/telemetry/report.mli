@@ -12,7 +12,8 @@
         { "benchmark": "...", "config": "...",
           "summary": { <flat scalar facts of the run> },
           "metrics": { "counters": {...}, "gauges": {...},
-                       "histograms": {...}, "series": {...} } },
+                       "histograms": {...}, "series": {...} },
+          <the row's sections, in order> },
         ...
       ],
       "aggregate": { <Registry.merge of all runs' metrics> },
@@ -34,31 +35,15 @@ type run = {
   config : string;
   summary : (string * Axmemo_util.Json.t) list;  (** flat scalars only *)
   metrics : Registry.snapshot;
-  profile : Axmemo_util.Json.t option;
-      (** attribution-profiler section ([Obs.Profile.to_json]); omitted
-          from the JSON when [None], so profile-free reports are
-          byte-identical to schema v1 before the field existed (additive —
-          no version bump) *)
-  service : Axmemo_util.Json.t option;
-      (** service-level section ([Serve] run rows: arrival process, offered
-          load, queue/shed accounting, latency percentiles, SLO rates);
-          same additive omit-when-[None] contract as [profile]. Numeric
-          leaves are flattened by [Obs.Diff] as [service.<path>] metrics,
-          so the section is regression-gated like the summary. *)
-  cluster : Axmemo_util.Json.t option;
-      (** sharded-cluster section ([Cluster] run rows: shard balance,
-          directory traffic, replication hit share, interconnect
-          latency/energy); same additive omit-when-[None] contract as
-          [profile]/[service]. *)
-  timeline : Axmemo_util.Json.t option;
-      (** live-timeline section ([Watch.Timeline.to_json]: per-window
-          deltas under [w<i>] objects); same additive omit-when-[None]
-          contract. Scalar leaves flatten as [timeline.<path>] metrics in
-          [Obs.Diff], so per-window regressions fail the gate. *)
-  alerts : Axmemo_util.Json.t option;
-      (** alert-engine section ([Watch.Alert.to_json]: one stable object
-          per rule, present whether or not it fired); same additive
-          contract, flattened as [alerts.<path>]. *)
+  sections : (string * Axmemo_util.Json.t) list;
+      (** named report sections, rendered in order after [metrics]: the
+          producer decides which exist ([profile] from [Obs.Profile],
+          [service], [cluster], [timeline] and [alerts] from the serve and
+          cluster layers). [Obs.Diff] flattens each one's scalar leaves
+          outside arrays as [<name>.<path>], so every section is
+          regression-gated. Additive:
+          a row with none is byte-identical to schema v1 before sections
+          existed, and no section bumps the version. *)
 }
 
 val make : ?extra:(string * Axmemo_util.Json.t) list -> run list -> Axmemo_util.Json.t

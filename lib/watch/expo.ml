@@ -17,7 +17,9 @@ let fmt_float f =
     Printf.sprintf "%.0f" f
   else Printf.sprintf "%g" f
 
-let prometheus ?(namespace = "axmemo") timeline alerts =
+let namespace = "axmemo"
+
+let prometheus timeline alerts =
   let b = Buffer.create 4096 in
   let metric ~name ~help ~typ rows =
     Buffer.add_string b (Printf.sprintf "# HELP %s_%s %s\n" namespace name help);
@@ -59,10 +61,10 @@ let prometheus ?(namespace = "axmemo") timeline alerts =
     (per_window (fun _ w -> float_of_int w.Timeline.w_slo_violations));
   metric ~name:"window_p99_cycles" ~help:"window-local p99 total latency"
     ~typ:"gauge"
-    (per_window (fun _ w -> Timeline.percentile timeline w 99.0));
+    (per_window (fun _ w -> Timeline.percentile w 99.0));
   metric ~name:"window_p50_cycles" ~help:"window-local p50 total latency"
     ~typ:"gauge"
-    (per_window (fun _ w -> Timeline.percentile timeline w 50.0));
+    (per_window (fun _ w -> Timeline.percentile w 50.0));
   metric ~name:"window_queue_depth_max" ~help:"max queue depth per window"
     ~typ:"gauge"
     (per_window (fun _ w -> float_of_int w.Timeline.w_max_depth));
@@ -91,11 +93,11 @@ let prometheus ?(namespace = "axmemo") timeline alerts =
        alerts);
   Buffer.contents b
 
-let write_prometheus ?namespace path timeline alerts =
+let write_prometheus path timeline alerts =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (prometheus ?namespace timeline alerts))
+    (fun () -> output_string oc (prometheus timeline alerts))
 
 (* ---- JSONL window log --------------------------------------------------- *)
 

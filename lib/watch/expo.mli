@@ -2,15 +2,13 @@
     JSONL window log, and the [axmemo top] table/sparkline renderer. All
     pure rendering — deterministic for a given timeline. *)
 
-val prometheus :
-  ?namespace:string -> Timeline.t -> Alert.result list -> string
+val prometheus : Timeline.t -> Alert.result list -> string
 (** Prometheus text-format exposition ([# HELP]/[# TYPE] plus one sample
     per window, labeled [window="i"]; alert rules as
-    [..._alert_fired_total{rule="..."}]). [namespace] defaults to
-    ["axmemo"]. *)
+    [..._alert_fired_total{rule="..."}]), every metric under the
+    ["axmemo_"] namespace. *)
 
-val write_prometheus :
-  ?namespace:string -> string -> Timeline.t -> Alert.result list -> unit
+val write_prometheus : string -> Timeline.t -> Alert.result list -> unit
 (** [write_prometheus path tl alerts] writes {!prometheus} to [path]
     (the serve [--expo FILE] artifact). *)
 

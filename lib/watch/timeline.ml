@@ -92,7 +92,6 @@ type t = {
   requested_window : int;
   cap : int;
   nnodes : int;
-  bounds : float array;
   mutable width : int;
   mutable windows : window array;  (* always [cap] long; [nwin] touched *)
   mutable nwin : int;
@@ -103,9 +102,9 @@ let default_cap = 64
 
 (* The latency bounds the serve histograms use, so window-local percentiles
    and end-of-run percentiles are bucketed identically. *)
-let default_bounds = lazy (Registry.log_bounds ~lo:1.0 ~hi:1e8 ~per_decade:8)
+let bounds = Registry.log_bounds ~lo:1.0 ~hi:1e8 ~per_decade:8
 
-let fresh_window ~bounds ~nnodes () =
+let fresh_window ~nnodes () =
   {
     w_admitted = 0;
     w_shed = 0;
@@ -123,19 +122,17 @@ let fresh_window ~bounds ~nnodes () =
     w_nodes = Array.init nnodes (fun _ -> { ns_remote = 0; ns_inv = 0 });
   }
 
-let create ?(cap = default_cap) ?bounds ~window ~nodes () =
+let create ?(cap = default_cap) ~window ~nodes () =
   if window <= 0 then invalid_arg "Timeline.create: window must be positive";
   if nodes < 1 then invalid_arg "Timeline.create: need at least one node";
   if cap < 2 || cap mod 2 <> 0 then
     invalid_arg "Timeline.create: cap must be even and at least 2";
-  let bounds = match bounds with Some b -> b | None -> Lazy.force default_bounds in
   {
     requested_window = window;
     cap;
     nnodes = nodes;
-    bounds;
     width = window;
-    windows = Array.init cap (fun _ -> fresh_window ~bounds ~nnodes:nodes ());
+    windows = Array.init cap (fun _ -> fresh_window ~nnodes:nodes ());
     nwin = 0;
     merges = 0;
   }
@@ -172,7 +169,7 @@ let merge_pairs t =
           absorb a b;
           a
         end
-        else fresh_window ~bounds:t.bounds ~nnodes:t.nnodes ())
+        else fresh_window ~nnodes:t.nnodes ())
   in
   t.windows <- nw;
   t.nwin <- (t.nwin + 1) / 2;
@@ -218,10 +215,10 @@ let complete t (c : completion) =
     s.ns_remote <- s.ns_remote + c.traffic.remote_probes;
     s.ns_inv <- s.ns_inv + c.traffic.inv_sent
   end;
-  let nb = Array.length t.bounds in
+  let nb = Array.length bounds in
   let v = float_of_int c.total_cycles in
   let rec bucket i =
-    if i >= nb then nb else if v <= t.bounds.(i) then i else bucket (i + 1)
+    if i >= nb then nb else if v <= bounds.(i) then i else bucket (i + 1)
   in
   let b = bucket 0 in
   w.w_lat.(b) <- w.w_lat.(b) + 1
@@ -232,7 +229,6 @@ let width t = t.width
 let requested_window t = t.requested_window
 let window_count t = t.nwin
 let merges t = t.merges
-let nodes t = t.nnodes
 let nth_window t i =
   if i < 0 || i >= t.nwin then invalid_arg "Timeline.nth_window: out of range";
   t.windows.(i)
@@ -289,8 +285,8 @@ let totals t =
 
 let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den
 
-let percentile t w p =
-  match Stats.percentile_of_histogram_opt ~bounds:t.bounds ~counts:w.w_lat p with
+let percentile w p =
+  match Stats.percentile_of_histogram_opt ~bounds ~counts:w.w_lat p with
   | None -> 0.0  (* empty window: documented 0.0, never NaN *)
   | Some v -> v
 
@@ -308,6 +304,8 @@ let cold_hit_rate w = ratio w.w_cold_hits w.w_cold_lookups
    tree flattening gates each of them exactly, per-node slots included. *)
 
 let window_json t i w =
+  (* One node has no per-node slots: its one slot would only repeat the
+     window's own remote_probes/inv_sent. *)
   let node_fields =
     if t.nnodes <= 1 then []
     else
@@ -336,8 +334,8 @@ let window_json t i w =
        ("hits", Json.Int w.w_hits);
        ("warm_hit_rate", Json.Float (warm_hit_rate w));
        ("cold_hit_rate", Json.Float (cold_hit_rate w));
-       ("p50", Json.Float (percentile t w 50.0));
-       ("p99", Json.Float (percentile t w 99.0));
+       ("p50", Json.Float (percentile w 50.0));
+       ("p99", Json.Float (percentile w 99.0));
        ("max_queue_depth", Json.Int w.w_max_depth);
        ("energy_pj", Json.Float w.w_energy_pj);
        ("remote_probes", Json.Int w.w_traffic.remote_probes);

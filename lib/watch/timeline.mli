@@ -17,9 +17,9 @@ type t
 type traffic = {
   remote_probes : int;
   inv_sent : int;
-      (** on one node, retired [invalidate] instructions (each counted
-          once, on the issuing core); on M > 1 nodes, point-to-point LUT
-          invalidation messages delivered to other nodes *)
+      (** point-to-point LUT invalidation messages delivered to other
+          nodes — the cluster section's [directory.sent]; always 0 on one
+          node, which has no other node to tell *)
   net_messages : int;
   quality_samples : int;
   quality_bad : int;
@@ -66,13 +66,12 @@ type window = {
   w_nodes : node_slot array;
 }
 
-val create :
-  ?cap:int -> ?bounds:float array -> window:int -> nodes:int -> unit -> t
+val create : ?cap:int -> window:int -> nodes:int -> unit -> t
 (** [create ~window ~nodes ()] starts a timeline with [window]-cycle
     windows over a [nodes]-node cluster. [cap] (default 64, must be even
-    and >= 2) bounds the number of windows; [bounds] are the latency
-    histogram bucket bounds (default: the serve layer's log bounds, so
-    window-local and end-of-run percentiles bucket identically). *)
+    and >= 2) bounds the number of windows. Window latencies bucket on the
+    serve layer's log bounds, so window-local and end-of-run percentiles
+    bucket identically. *)
 
 val admit : t -> at:int -> unit
 val shed : t -> at:int -> unit
@@ -88,7 +87,6 @@ val width : t -> int
 val requested_window : t -> int
 val window_count : t -> int
 val merges : t -> int
-val nodes : t -> int
 val nth_window : t -> int -> window
 val iteri : t -> (int -> window -> unit) -> unit
 
@@ -108,7 +106,7 @@ val totals : t -> totals
 (** Sum of every window — exactly the end-of-run aggregates (the
     conservation law the tests and the watch smoke assert). *)
 
-val percentile : t -> window -> float -> float
+val percentile : window -> float -> float
 (** Window-local latency percentile via
     {!Axmemo_util.Stats.percentile_of_histogram_opt}; an empty window is
     0.0 (documented, never NaN). *)
@@ -116,8 +114,6 @@ val percentile : t -> window -> float -> float
 val violation_rate : window -> float
 val shed_rate : window -> float
 val quality_bad_rate : window -> float
-val warm_hit_rate : window -> float
-val cold_hit_rate : window -> float
 
 val window_json : t -> int -> window -> Axmemo_util.Json.t
 

@@ -2,13 +2,17 @@
    uniformity, directory vs broadcast invalidation semantics (same final
    LUT contents, strictly fewer messages), replication hit-share
    monotonicity in the threshold, serial/parallel report byte-identity,
-   and the config validators behind the CLI's flag hygiene. *)
+   per-node fault streams, and the config validators behind the CLI's flag
+   hygiene. *)
 
 module Cluster = Axmemo_cluster.Cluster
 module Corun = Axmemo_multicore.Corun
 module Snapshot = Axmemo_tier.Snapshot
 module Runner = Axmemo.Runner
 module Json = Axmemo_util.Json
+module Shared_lut = Axmemo_multicore.Shared_lut
+module Fault_model = Axmemo_faults.Fault_model
+module Injector = Axmemo_faults.Injector
 
 (* --- shard routing --- *)
 
@@ -183,6 +187,38 @@ let test_scale_out_throughput () =
     (o2.Cluster.throughput_rps > o1.Cluster.throughput_rps);
   Alcotest.(check bool) "balanced shards" true (o2.Cluster.shard_balance >= 0.9)
 
+(* --- per-node fault streams --- *)
+
+(* The same lookup+insert sequence into each node's shared LUT draws a
+   different upset stream per node, and node 0 replays the 1-node
+   cluster's (the co-run's) stream exactly. *)
+let test_per_node_fault_streams () =
+  let faults =
+    {
+      Fault_model.default with
+      Fault_model.rate = 0.05;
+      sites = Fault_model.[ L2_tag; L2_payload; L2_valid; L2_lru ];
+    }
+  in
+  let node = { Corun.default with Corun.faults = Some faults } in
+  let drive t j =
+    let c = Cluster.node_cluster t ~node:j in
+    let shared = Corun.shared_lut c in
+    for i = 1 to 1000 do
+      let key = Int64.of_int (i * 7919) in
+      ignore (Shared_lut.lookup shared ~core:0 ~lut_id:0 ~key);
+      Shared_lut.insert shared ~core:0 ~lut_id:0 ~key ~payload:(Int64.of_int i)
+    done;
+    Option.get (Corun.fault_stats c)
+  in
+  let two = Cluster.create { Cluster.default with nodes = 2; node } in
+  let s0 = drive two 0 and s1 = drive two 1 in
+  Alcotest.(check bool) "both nodes struck" true
+    (s0.Injector.injected_total > 0 && s1.Injector.injected_total > 0);
+  Alcotest.(check bool) "node streams differ" true (s0 <> s1);
+  let one = Cluster.create { Cluster.default with nodes = 1; node } in
+  Alcotest.(check bool) "node 0 keeps the spec's stream" true (drive one 0 = s0)
+
 (* --- config validation (CLI flag hygiene backs onto these) --- *)
 
 let test_validate_rejects () =
@@ -221,6 +257,7 @@ let () =
           Alcotest.test_case "replication monotone" `Quick test_replication_monotone;
           Alcotest.test_case "jobs byte-identical" `Quick test_matrix_jobs_byte_identical;
           Alcotest.test_case "scale-out" `Quick test_scale_out_throughput;
+          Alcotest.test_case "per-node fault streams" `Quick test_per_node_fault_streams;
         ] );
       ( "validation",
         [ Alcotest.test_case "rejects" `Quick test_validate_rejects ] );

@@ -1,5 +1,7 @@
 (* End-to-end integration tests through the runner: baseline vs AxMemo vs
-   software schemes on real (sample-sized) benchmarks. *)
+   software schemes on real (sample-sized) benchmarks, and the untrusted
+   readers (report JSON, IR text, snapshots, --tol and --alerts specs)
+   under byte-mutated and truncated inputs. *)
 
 module W = Axmemo_workloads
 module Workload = W.Workload
@@ -268,6 +270,105 @@ let test_config_labels () =
     (Runner.config_label
        (Hw_memo { l1_bytes = 8192; l2_bytes = None; approximate = false; monitor = true; total_l2 = None; adaptive = false }))
 
+(* --- hostile inputs --------------------------------------------------- *)
+
+module Json = Axmemo_util.Json
+module Registry = Axmemo_telemetry.Registry
+module Report = Axmemo_telemetry.Report
+module Parser = Axmemo_ir.Parser
+module Snapshot = Axmemo_tier.Snapshot
+module Diff = Axmemo_obs.Diff
+module Alert = Axmemo_watch.Alert
+
+(* Valid inputs for every untrusted-text reader: each mutant of one must
+   come back as Ok or Error, never as an exception. *)
+let valid_report =
+  let reg = Registry.create () in
+  Registry.set_count (Registry.counter reg "lut.hits") 7;
+  Registry.set (Registry.gauge reg "occupancy") 0.25;
+  Registry.observe (Registry.histogram reg "lat" ~bounds:[| 1.0; 10.0 |]) 3.0;
+  Registry.sample (Registry.series reg "depth" ()) ~at:5 2.0;
+  Json.to_string ~indent:2
+    (Report.make
+       [
+         {
+           Report.benchmark = "sobel";
+           config = "L1(8KB) \"q\"\n";
+           summary = [ ("cycles", Json.Int 100); ("hit", Json.Float 0.5) ];
+           metrics = Registry.snapshot reg;
+           sections =
+             [
+               ( "service",
+                 Json.Obj
+                   [
+                     ("p99", Json.Float 1e-3);
+                     ("ok", Json.Bool true);
+                     ("none", Json.Null);
+                     ("shards", Json.Arr [ Json.Int 1; Json.Int (-2) ]);
+                   ] );
+             ];
+         };
+       ])
+
+let valid_ir =
+  let _, make = Option.get (W.Registry.find "sobel") in
+  Format.asprintf "%a" Axmemo_ir.Ir.pp_program (make Workload.Sample).program
+
+let valid_snapshot =
+  Snapshot.to_bytes
+    {
+      Snapshot.sections =
+        [
+          {
+            Snapshot.name = "l1.0";
+            entries =
+              [|
+                { Snapshot.lut_id = 0; key = 0x1234L; payload = 7L };
+                { Snapshot.lut_id = 1; key = -1L; payload = Int64.max_int };
+              |];
+          };
+          { Snapshot.name = "l2"; entries = [| { Snapshot.lut_id = 2; key = 9L; payload = 0L } |] };
+        ];
+    }
+
+let valid_tolerances = "default=0.01,counters.mem.*=0.05:2,summary.wall_s=1e9"
+
+let valid_rules =
+  "slo-budget=0.2, slo-fast=2, slo-slow=1, slo-windows=4, shed-max=0.1, \
+   quality-max=0.05, storm-max=64"
+
+(* A mutant of [s]: a proper prefix, or one to four bytes overwritten with
+   arbitrary values. *)
+let mutant s =
+  let open QCheck.Gen in
+  let n = String.length s in
+  let truncated = map (fun k -> String.sub s 0 k) (int_bound (n - 1)) in
+  let overwritten =
+    list_size (int_range 1 4) (pair (int_bound (n - 1)) (int_bound 255))
+    >|= fun edits ->
+    let b = Bytes.of_string s in
+    List.iter (fun (i, c) -> Bytes.set b i (Char.chr c)) edits;
+    Bytes.to_string b
+  in
+  QCheck.make ~print:String.escaped (oneof [ truncated; overwritten ])
+
+let never_raises ~name ~count valid parse =
+  QCheck.Test.make ~name ~count (mutant valid) (fun m ->
+      match parse m with Ok _ | Error _ -> true)
+
+let hostile_input_properties =
+  [
+    never_raises ~name:"Json.parse" ~count:20_000 valid_report Json.parse;
+    never_raises ~name:"Parser.parse_program" ~count:9000 valid_ir Parser.parse_program;
+    (* The trailing CRC-32 also rejects every altered snapshot. *)
+    QCheck.Test.make ~name:"Snapshot.of_bytes rejects alterations" ~count:20_000
+      (mutant valid_snapshot)
+      (fun m -> m = valid_snapshot || Result.is_error (Snapshot.of_bytes m));
+    never_raises ~name:"Diff.parse_tolerances" ~count:12_000 valid_tolerances
+      Diff.parse_tolerances;
+    never_raises ~name:"Alert.parse_rules" ~count:12_000 valid_rules Alert.parse_rules;
+  ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -297,4 +398,5 @@ let () =
           Alcotest.test_case "determinism" `Slow test_determinism;
           Alcotest.test_case "config labels" `Quick test_config_labels;
         ] );
+      ("hostile inputs", List.map QCheck_alcotest.to_alcotest hostile_input_properties);
     ]

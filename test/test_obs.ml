@@ -272,7 +272,8 @@ let test_parse_tolerances () =
 
 (* Diff: report comparison *)
 
-let report_with ?(bench = "bench") ?(config = "cfg") ?(label = "ok") cycles hits =
+let report_with ?(bench = "bench") ?(config = "cfg") ?(label = "ok") ?(sections = [])
+    cycles hits =
   let reg = Registry.create () in
   Registry.set_count (Registry.counter reg "lut.hits") hits;
   Report.make
@@ -282,11 +283,7 @@ let report_with ?(bench = "bench") ?(config = "cfg") ?(label = "ok") cycles hits
         config;
         summary = [ ("cycles", Json.Int cycles); ("label", Json.Str label) ];
         metrics = Registry.snapshot reg;
-        profile = None;
-        service = None;
-              cluster = None;
-              timeline = None;
-              alerts = None;
+        sections;
       };
     ]
 
@@ -341,6 +338,23 @@ let test_diff_render () =
   let text = Diff.render d in
   Alcotest.(check bool) "names the metric" true (contains text "summary.cycles")
 
+(* Every section of a row is gated, the profile included: one perturbed
+   profile.total_cycles fails the gate and is the only violation. *)
+let test_diff_gates_profile () =
+  let _, snap = profiled "sobel" Runner.l1_8k in
+  let report total_cycles =
+    report_with
+      ~sections:[ ("profile", Profile.to_json { snap with Profile.total_cycles }) ]
+      100 7
+  in
+  let total = snap.Profile.total_cycles in
+  Alcotest.(check bool) "self-diff passes" true
+    (Diff.gate_ok (diff_ok (report total) (report total)));
+  let d = diff_ok (report total) (report (total + 1)) in
+  Alcotest.(check bool) "gate fails" false (Diff.gate_ok d);
+  Alcotest.(check (list string)) "names the profile metric" [ "profile.total_cycles" ]
+    (List.map (fun (v : Diff.delta) -> v.Diff.metric) d.Diff.violations)
+
 let () =
   Alcotest.run "obs"
     [
@@ -369,5 +383,6 @@ let () =
           Alcotest.test_case "strings and missing runs" `Quick
             test_diff_string_and_missing;
           Alcotest.test_case "render" `Quick test_diff_render;
+          Alcotest.test_case "profile section gated" `Quick test_diff_gates_profile;
         ] );
     ]

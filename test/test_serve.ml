@@ -3,7 +3,8 @@
    degenerate equivalence with Schedule.dispatch, histogram-interpolated
    percentiles against the raw-array percentile, serve report byte-identity
    across --jobs, shed-rate monotonicity in offered load, bit-identity of
-   the Closed serve against a 1-node Cluster.run, SLO accounting, the
+   the Closed serve against a 1-node Cluster.run (and of its "cluster"
+   section at 1 and 2 nodes), SLO accounting, the
    balanced request timeline, and the diff gate over the "service" report
    section. *)
 
@@ -341,6 +342,14 @@ let closed_outcome = lazy (Serve.run closed_cfg)
 
 let norm (r : Runner.result) = { r with Runner.sim_wall_seconds = 0.0 }
 
+(* A closed serve run reports the cluster it ran on: its "cluster" section
+   renders byte-identical to Cluster.run's for the same stream, at one node
+   and at two, where kmeans' invalidates cross the directory. *)
+let check_same_cluster_section name (o : Serve.outcome) (c : Cluster.outcome) =
+  Alcotest.(check string) (name ^ ": cluster section")
+    (Json.to_string c.Cluster.cluster_section)
+    (Json.to_string o.Serve.cluster_section)
+
 let test_closed_serve_equals_corun () =
   let o = Lazy.force closed_outcome in
   let c = Cluster.run { Cluster.default with nodes = 1; node = closed_cfg.Serve.cluster } in
@@ -356,7 +365,23 @@ let test_closed_serve_equals_corun () =
       Alcotest.(check bool) "result bits" true
         (norm r.Cluster.result = norm s.Serve.result))
     o.Serve.requests c.Cluster.requests;
-  Alcotest.(check int) "makespan" c.Cluster.makespan_cycles o.Serve.makespan_cycles
+  Alcotest.(check int) "makespan" c.Cluster.makespan_cycles o.Serve.makespan_cycles;
+  check_same_cluster_section "blackscholes+sobel" o c;
+  List.iter
+    (fun nodes ->
+      let cfg =
+        {
+          (base ~arrival:Arrival.Closed ~queue:12 ~requests:12
+             ~workloads:[ "kmeans"; "sobel" ] ())
+          with
+          Serve.nodes;
+        }
+      in
+      check_same_cluster_section
+        (Printf.sprintf "kmeans+sobel, %d node(s)" nodes)
+        (Serve.run cfg)
+        (Cluster.run { Cluster.default with nodes; node = cfg.Serve.cluster }))
+    [ 1; 2 ]
 
 let test_serve_jobs_byte_identical () =
   let cfgs = [ base ~load:0.8 (); base ~load:3.0 ~shed:Schedule.Drop_head () ] in

@@ -338,11 +338,7 @@ let tiny_report () =
         config = "cfg";
         summary = [ ("cycles", Json.Int 100) ];
         metrics = Registry.snapshot reg;
-        profile = None;
-        service = None;
-              cluster = None;
-              timeline = None;
-              alerts = None;
+        sections = [];
       };
     ]
 
@@ -377,11 +373,7 @@ let test_report_duplicate_run_rejected () =
       config;
       summary = [];
       metrics = [];
-      profile = None;
-      service = None;
-              cluster = None;
-              timeline = None;
-              alerts = None;
+      sections = [];
     }
   in
   Alcotest.check_raises "duplicate key"
@@ -401,11 +393,7 @@ let test_report_csv () =
         config = "c\"d";
         summary = [ ("cycles", Json.Int 7) ];
         metrics = Registry.snapshot reg;
-        profile = None;
-        service = None;
-              cluster = None;
-              timeline = None;
-              alerts = None;
+        sections = [];
       };
     ]
   in
@@ -476,11 +464,7 @@ let report_of pairs =
           config = r.label;
           summary = [ ("cycles", Json.Int r.cycles) ];
           metrics = snapshot;
-          profile = None;
-          service = None;
-              cluster = None;
-              timeline = None;
-              alerts = None;
+          sections = [];
         })
       pairs
   in

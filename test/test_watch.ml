@@ -5,8 +5,9 @@
    "timeline"/"alerts" sections, observational purity of the sampler (a
    watch-less run's service section is untouched), the documented
    percentile edge contract, --alerts rule parsing, the exposition
-   renderers, and the decayed-L3-read quality source reaching the
-   per-window traffic counters. *)
+   renderers, the decayed-L3-read quality source reaching the per-window
+   traffic counters, and the timeline's traffic totals matching the row's
+   cluster section at one and two nodes. *)
 
 module Timeline = Axmemo_watch.Timeline
 module Alert = Axmemo_watch.Alert
@@ -462,45 +463,66 @@ let test_l3_decay_reaches_timeline () =
     true
     (faulty.Timeline.quality_samples > clean.Timeline.quality_samples)
 
-(* On one node the timeline's inv_sent counts retired [invalidate]
-   instructions — each issuing unit's own memo.invalidations counter — not
-   node messages. kmeans' phase barrier retires the same invalidates on one
-   core as on two, since a peer receiving the broadcast does not count it. *)
-let test_single_node_inv_sent () =
+(* The timeline's traffic is the cluster's own: its totals equal the
+   row's "cluster" section at every node count. One node has no other node
+   to tell, so inv_sent is 0 there even though kmeans' phase barrier
+   retires invalidates. *)
+let test_traffic_matches_cluster_section () =
   List.iter
-    (fun ncores ->
+    (fun nodes ->
       let cfg =
         {
           Serve.default with
           cluster =
             {
               Corun.default with
-              ncores;
               workloads = [ "kmeans"; "sobel" ];
-              requests = 8;
+              requests = 12;
               variant = W.Workload.Sample;
             };
+          nodes;
+          arrival = Arrival.Closed;
           watch = Some Serve.default_watch;
         }
       in
       let o = Serve.run cfg in
-      let inv_sent =
+      let traffic =
         match o.Serve.timeline with
         | None -> Alcotest.fail "watch on but no timeline"
-        | Some tl -> (Timeline.totals tl).Timeline.total_traffic.Timeline.inv_sent
+        | Some tl -> (Timeline.totals tl).Timeline.total_traffic
       in
-      let retired =
-        List.fold_left
-          (fun acc (who, snap) ->
-            match List.assoc_opt "memo.invalidations" snap with
-            | Some (Registry.Counter n) when String.starts_with ~prefix:"core" who ->
-                acc + n
-            | _ -> acc)
-          0 o.Serve.snapshots
+      let section path =
+        match
+          List.fold_left
+            (fun j k -> Option.bind j (Json.member k))
+            (Some o.Serve.cluster_section) path
+        with
+        | Some (Json.Int n) -> n
+        | _ -> Alcotest.failf "cluster section has no %s" (String.concat "." path)
       in
-      let name = Printf.sprintf "%d core(s)" ncores in
-      Alcotest.(check bool) (name ^ ": invalidates retired") true (inv_sent > 0);
-      Alcotest.(check int) (name ^ ": inv_sent = retired invalidates") retired inv_sent)
+      let name = Printf.sprintf "%d node(s)" nodes in
+      Alcotest.(check int) (name ^ ": remote_probes") (section [ "remote_probes" ])
+        traffic.Timeline.remote_probes;
+      Alcotest.(check int) (name ^ ": inv_sent = directory.sent")
+        (section [ "directory"; "sent" ]) traffic.Timeline.inv_sent;
+      Alcotest.(check int) (name ^ ": net_messages") (section [ "net"; "messages" ])
+        traffic.Timeline.net_messages;
+      if nodes = 1 then begin
+        let retired =
+          List.fold_left
+            (fun acc (who, snap) ->
+              match List.assoc_opt "memo.invalidations" snap with
+              | Some (Registry.Counter n) when String.starts_with ~prefix:"n0.core" who ->
+                  acc + n
+              | _ -> acc)
+            0 o.Serve.snapshots
+        in
+        Alcotest.(check bool) "1 node: invalidates retired" true (retired > 0);
+        Alcotest.(check int) "1 node: inv_sent" 0 traffic.Timeline.inv_sent
+      end
+      else
+        Alcotest.(check bool) (name ^ ": node messages sent") true
+          (traffic.Timeline.net_messages > 0))
     [ 1; 2 ]
 
 (* --- suites --------------------------------------------------------------- *)
@@ -540,8 +562,8 @@ let () =
             test_timeline_and_alert_sections_gated;
           Alcotest.test_case "l3 decay reaches timeline" `Quick
             test_l3_decay_reaches_timeline;
-          Alcotest.test_case "1-node inv_sent = retired invalidates" `Quick
-            test_single_node_inv_sent;
+          Alcotest.test_case "traffic = cluster section" `Quick
+            test_traffic_matches_cluster_section;
         ] );
       ( "percentiles",
         [ Alcotest.test_case "edge contract" `Quick test_percentile_edges ] );
