@@ -386,11 +386,14 @@ let create ?(metrics = false) ?(profile = false) (cfg : config) =
   let the () =
     match !tref with Some t -> t | None -> failwith "Cluster: port used before wiring"
   in
+  (* Every node serves the same mix: resolve it (one workload make each)
+     once, not once per node. *)
+  let mix = Corun.resolve_mix cfg.node in
   let nodes =
     Array.init cfg.nodes (fun nid ->
-        if cfg.nodes = 1 then Corun.create_cluster ~metrics ~profile cfg.node
+        if cfg.nodes = 1 then Corun.create_cluster ~metrics ~profile ~mix cfg.node
         else
-          Corun.create_cluster ~metrics ~profile
+          Corun.create_cluster ~metrics ~profile ~mix
             ~l2_port:(fun ~core ~now ~local ->
               let port = lazy (make_port (the ()) nid ~core ~now ~local) in
               {

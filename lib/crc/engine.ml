@@ -93,14 +93,22 @@ let slices (p : Poly.t) =
       Hashtbl.add cache p.name t;
       t
 
+(* The shift register lives in an 8-byte [Bytes] read and written through
+   the unboxed 64-bit primitives: a [mutable int64] field would allocate a
+   fresh box on every step. *)
+external get_reg : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_reg : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 type t = {
   poly : Poly.t;
+  mask : int64;  (* [Poly.mask poly], computed once *)
+  init : int64;  (* the register at [start], in the register's domain *)
   step_table : int64 array;
   slice_table : int64 array;
   sliceable : bool;
       (* the multi-byte fold requires a whole number of register bytes on
          the MSB-first path, and the fault hook is a per-byte contract *)
-  mutable reg : int64;  (* reflected domain iff poly.refin *)
+  reg : Bytes.t;  (* reflected domain iff poly.refin *)
   mutable fed : int;
   fault : (int -> int64) option;
       (* datapath upset hook: called once per byte step with the register
@@ -113,52 +121,61 @@ let start ?fault (p : Poly.t) =
      carried into that domain too. *)
   let init = if p.refin then reflect ~bits:p.width p.init else p.init in
   let sliceable = fault = None && (p.refin || (p.width >= 8 && p.width mod 8 = 0)) in
+  let reg = Bytes.create 8 in
+  set_reg reg 0 init;
   {
     poly = p;
+    mask = Poly.mask p;
+    init;
     step_table = table p;
     slice_table = slices p;
     sliceable;
-    reg = init;
+    reg;
     fed = 0;
     fault;
   }
 
-let copy t = { t with reg = t.reg }
+let reset t =
+  set_reg t.reg 0 t.init;
+  t.fed <- 0
+
+let copy t = { t with reg = Bytes.copy t.reg }
 
 let feed_byte t b =
   let b = b land 0xFF in
   t.fed <- t.fed + 1;
   let p = t.poly in
-  (if p.refin then
-     let idx = Int64.to_int (Int64.logand (Int64.logxor t.reg (Int64.of_int b)) 0xFFL) in
-     t.reg <- Int64.logxor (Int64.shift_right_logical t.reg 8) t.step_table.(idx)
-   else
-     let idx =
-       Int64.to_int
-         (Int64.logand
-            (Int64.logxor (Int64.shift_right_logical t.reg (p.width - 8)) (Int64.of_int b))
-            0xFFL)
-     in
-     t.reg <-
-       Int64.logand
-         (Int64.logxor (Int64.shift_left t.reg 8) t.step_table.(idx))
-         (Poly.mask p));
+  let r = get_reg t.reg 0 in
+  let r =
+    if p.refin then
+      let idx = Int64.to_int (Int64.logand (Int64.logxor r (Int64.of_int b)) 0xFFL) in
+      Int64.logxor (Int64.shift_right_logical r 8) t.step_table.(idx)
+    else
+      let idx =
+        Int64.to_int
+          (Int64.logand
+             (Int64.logxor (Int64.shift_right_logical r (p.width - 8)) (Int64.of_int b))
+             0xFFL)
+      in
+      Int64.logand (Int64.logxor (Int64.shift_left r 8) t.step_table.(idx)) t.mask
+  in
+  set_reg t.reg 0 r;
   match t.fault with
   | None -> ()
   | Some f ->
       let mask = f p.width in
-      if mask <> 0L then t.reg <- Int64.logand (Int64.logxor t.reg mask) (Poly.mask p)
+      if mask <> 0L then set_reg t.reg 0 (Int64.logand (Int64.logxor r mask) t.mask)
 
 (* Fold the low [m] bytes of [v] (little-endian) into the register in one
    step: each byte k is combined with the register byte it would have met on
    the per-byte path and looked up in the table that accounts for the
    [m-1-k] zero-byte steps still to come; the register bits that survive all
    [m] shifts contribute the residual term. Requires [t.sliceable] and
-   [1 <= m <= 8]. *)
-let feed_chunk_le t v m =
+   [1 <= m <= 8]. Inlined, so a caller's unboxed [v] stays unboxed. *)
+let[@inline] feed_chunk_le t v m =
   let p = t.poly in
   let sl = t.slice_table in
-  let r = t.reg in
+  let r = get_reg t.reg 0 in
   let acc = ref 0L in
   if p.refin then begin
     for k = 0 to m - 1 do
@@ -170,7 +187,7 @@ let feed_chunk_le t v m =
     (* shifting an int64 by >= 64 is unspecified, so the full-width case
        must produce the zero residual explicitly *)
     let residual = if 8 * m >= 64 then 0L else Int64.shift_right_logical r (8 * m) in
-    t.reg <- Int64.logxor residual !acc
+    set_reg t.reg 0 (Int64.logxor residual !acc)
   end
   else begin
     let w = p.width in
@@ -183,10 +200,9 @@ let feed_chunk_le t v m =
       acc := Int64.logxor !acc sl.(((m - 1 - k) * 256) + idx)
     done;
     let residual =
-      if 8 * m >= w then 0L
-      else Int64.logand (Int64.shift_left r (8 * m)) (Poly.mask p)
+      if 8 * m >= w then 0L else Int64.logand (Int64.shift_left r (8 * m)) t.mask
     in
-    t.reg <- Int64.logand (Int64.logxor residual !acc) (Poly.mask p)
+    set_reg t.reg 0 (Int64.logand (Int64.logxor residual !acc) t.mask)
   end;
   t.fed <- t.fed + m
 
@@ -219,10 +235,18 @@ let feed_int64 t ~width v =
       feed_byte t (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL))
     done
 
+let feed_int t ~width v =
+  if t.sliceable && width >= 1 && width <= 7 then feed_chunk_le t (Int64.of_int v) width
+  else
+    for i = 0 to width - 1 do
+      feed_byte t ((v lsr (8 * i)) land 0xFF)
+    done
+
 let value t =
   let p = t.poly in
-  let r = if p.refout = p.refin then t.reg else reflect ~bits:p.width t.reg in
-  Int64.logand (Int64.logxor r p.xorout) (Poly.mask p)
+  let r = get_reg t.reg 0 in
+  let r = if p.refout = p.refin then r else reflect ~bits:p.width r in
+  Int64.logand (Int64.logxor r p.xorout) t.mask
 
 let bytes_fed t = t.fed
 

@@ -9,7 +9,12 @@
 
     Both expose incremental state: the hardware accumulates input words as
     they arrive (hiding hash latency behind the original computation), so the
-    software model must too. *)
+    software model must too.
+
+    Allocation contract: the register is unboxed storage, so {!reset},
+    {!feed_int} and {!feed_int64} (on an already-boxed value) allocate
+    nothing on a fault-free engine; {!value} allocates only its boxed
+    result. *)
 
 type t
 (** An in-flight CRC computation (the contents of one Hash Value Register). *)
@@ -23,6 +28,12 @@ val start : ?fault:(int -> int64) -> Poly.t -> t
     The hook is how {!Axmemo_faults.Injector} reaches the engine without the
     CRC library depending on the fault subsystem. Absent, the engine is
     exactly the fault-free datapath. *)
+
+val reset : t -> unit
+(** [reset t] returns [t] to its state at {!start}, in place: the register
+    holds the initial value and {!bytes_fed} is 0. A hash value register is
+    reset this way when [lookup] consumes it, instead of a new engine being
+    started. *)
 
 val copy : t -> t
 (** [copy t] snapshots the in-flight state. *)
@@ -40,6 +51,12 @@ val feed_int64 : t -> width:int -> int64 -> unit
 (** [feed_int64 t ~width v] accumulates the low [width] bytes of [v] in
     little-endian order — how the memoization unit consumes register inputs.
     Fault-free engines fold all [width] bytes in a single sliced step. *)
+
+val feed_int : t -> width:int -> int -> unit
+(** [feed_int t ~width v] is [feed_int64 t ~width (Int64.of_int v)] for
+    [0 <= width <= 7], with [v] passed as an immediate so the caller boxes
+    nothing. An 8-byte input goes in as two 4-byte halves, low half first:
+    the CRC of a byte stream does not depend on how it is split. *)
 
 val value : t -> int64
 (** [value t] finalizes (reflection + xorout) without disturbing the in-flight

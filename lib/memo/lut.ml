@@ -204,41 +204,40 @@ let faulty_hit fp t idx =
 
 (* ---------------------------------------------------------------------- *)
 
+(* The index of the way holding [(lut_id, key)] in its set, or -1. A loop
+   rather than a local recursive function, which would allocate a closure
+   per probe. *)
 let find t ~lut_id ~key =
-  let set = set_of_key t key in
-  let base = set * t.nways in
-  match t.faults with
+  let base = set_of_key t key * t.nways in
+  let found = ref (-1) in
+  let w = ref 0 in
+  (match t.faults with
   | None ->
-      let rec go w =
-        if w >= t.nways then None
-        else
-          let idx = base + w in
-          if t.valid.(idx) && t.lut_ids.(idx) = lut_id && t.keys.(idx) = key then Some idx
-          else go (w + 1)
-      in
-      go 0
+      while !found < 0 && !w < t.nways do
+        let idx = base + !w in
+        if t.valid.(idx) && t.lut_ids.(idx) = lut_id && t.keys.(idx) = key then found := idx;
+        incr w
+      done
   | Some fp ->
       (* the hardware comparators see the (possibly corrupted) stored bits *)
-      let rec go w =
-        if w >= t.nways then None
-        else
-          let idx = base + w in
-          if eff_valid_fp fp t idx && t.lut_ids.(idx) = lut_id && eff_key_fp fp t idx = key
-          then Some idx
-          else go (w + 1)
-      in
-      go 0
+      while !found < 0 && !w < t.nways do
+        let idx = base + !w in
+        if eff_valid_fp fp t idx && t.lut_ids.(idx) = lut_id && eff_key_fp fp t idx = key
+        then found := idx;
+        incr w
+      done);
+  !found
 
 let lookup t ~lut_id ~key =
   inject_probe t key;
-  match find t ~lut_id ~key with
-  | Some idx -> (
-      match t.faults with
-      | None ->
-          touch_on_hit t idx;
-          Some t.payloads.(idx)
-      | Some fp -> faulty_hit fp t idx)
-  | None -> None
+  let idx = find t ~lut_id ~key in
+  if idx < 0 then None
+  else
+    match t.faults with
+    | None ->
+        touch_on_hit t idx;
+        Some t.payloads.(idx)
+    | Some fp -> faulty_hit fp t idx
 
 let insert ?ways t ~lut_id ~key ~payload evict_hook =
   inject_probe t key;
@@ -255,13 +254,13 @@ let insert ?ways t ~lut_id ~key ~payload evict_hook =
         (lo, hi)
   in
   match find t ~lut_id ~key with
-  | Some idx ->
+  | idx when idx >= 0 ->
       t.payloads.(idx) <- payload;
       (match t.faults with
       | Some fp -> fp.payload_err.(idx) <- 0L  (* the cell was rewritten *)
       | None -> ());
       touch_on_hit t idx
-  | None ->
+  | _ ->
       let set = set_of_key t key in
       let base = set * t.nways in
       let is_valid idx =
@@ -381,8 +380,8 @@ let restore_entry t ~lut_id ~key ~payload =
   let base = set * t.nways in
   let idx =
     match find t ~lut_id ~key with
-    | Some idx -> idx
-    | None ->
+    | idx when idx >= 0 -> idx
+    | _ ->
         let victim = ref (-1) in
         (try
            for w = 0 to t.nways - 1 do

@@ -1,4 +1,3 @@
-module Bits = Axmemo_util.Bits
 module Crc = Axmemo_crc
 module Payload = Axmemo_ir.Payload
 module Interp = Axmemo_ir.Interp
@@ -158,6 +157,11 @@ type monitor_state = {
 type telem = {
   reg : Registry.t;
   trunc_hist : Registry.histogram;  (* effective truncation per send *)
+  trunc_counts : int array;
+      (* sends per truncation level, folded into [trunc_hist] by
+         [flush_metrics]: observing the histogram directly would box a float
+         per send. The levels are integers, so the histogram's float sum
+         comes out the same in any order. *)
   l1_occ : Registry.histogram;  (* per-set valid entries, at flush *)
   l2_occ : Registry.histogram option;
   l1_evictions : Registry.counter;
@@ -202,20 +206,33 @@ type fault_telem = {
   trip_lookup_g : Registry.gauge;
 }
 
+(* One hash value register, addressed by {LUT_ID, TID} (Section 3.2): the
+   in-flight CRC of the inputs sent since the last lookup, and the key that
+   lookup latched for [update]. The engines are started once and reset in
+   place whenever the register is consumed or dropped. *)
+type slot = {
+  tag : Crc.Engine.t;
+  fp_engine : Crc.Engine.t option;
+      (* 64-bit fingerprint of the same byte stream, for collision
+         measurement (present iff [collision_tracking]) *)
+  mutable latched : bool;  (* a lookup has latched [key] since the last reset *)
+  mutable key : int64;
+  mutable fp : int64;  (* the fingerprint latched with [key] *)
+}
+
+module Fp_table = Hashtbl.Make (Int64)
+
 type t = {
   cfg : config;
   decls : (int, lut_decl) Hashtbl.t;
   l1 : Lut.t;
   l2 : Lut.t option;
   shared_l2 : shared_l2 option;
-  (* Hash value registers: in-flight CRC state per logical LUT. The optional
-     second engine computes a 64-bit fingerprint of the same byte stream for
-     collision measurement. *)
-  hvr : (int * int, Crc.Engine.t * Crc.Engine.t option) Hashtbl.t;
-      (* addressed by {LUT_ID, TID} (Section 3.2) *)
-  latched_key : (int * int, int64) Hashtbl.t;  (* key of the last lookup, used by update *)
-  latched_fp : (int * int, int64) Hashtbl.t;
-  fingerprints : (int * int64, int64) Hashtbl.t;
+  mutable slots : slot option array;
+      (* slot of {LUT_ID, TID} at [lut + 8 * tid]; grows on a TID's first use *)
+  fingerprints : int64 Fp_table.t option array;
+      (* per logical LUT: key -> fingerprint of the inputs that last wrote
+         it; made on the LUT's first fingerprinted update *)
   monitor : monitor_state;
   adapt : adapt_state option;
   (* DRAM tier attachment ([attach_l3]); [last_l3_cycles] is the DRAM cost
@@ -273,6 +290,7 @@ let make_telem reg ~has_l2 ~private_l2 =
     reg;
     trunc_hist =
       Registry.histogram reg "memo.trunc_bits" ~bounds:(Array.init 33 float_of_int);
+    trunc_counts = Array.make 64 0;
     l1_occ = Registry.histogram reg "memo.l1.set_occupancy" ~bounds:(occ_bounds 8);
     (* A shared next level keeps its own occupancy instruments on the cluster
        registry; only a private L2 histograms here. *)
@@ -375,10 +393,8 @@ let create ?metrics ?shared_l2 ?profile cfg decls =
     l1;
     l2;
     shared_l2;
-    hvr = Hashtbl.create 8;
-    latched_key = Hashtbl.create 8;
-    latched_fp = Hashtbl.create 8;
-    fingerprints = Hashtbl.create 4096;
+    slots = [||];
+    fingerprints = Array.make 8 None;
     monitor =
       {
         hits_seen = 0;
@@ -481,34 +497,99 @@ let attach_l3 t port =
 
 let last_l3_cycles t = t.last_l3_cycles
 
-let engines t ~tid lut =
-  match Hashtbl.find_opt t.hvr (lut, tid) with
-  | Some e -> e
-  | None ->
-      let e =
-        (* Only the tag hash is real hardware; the fingerprint engine is a
-           measurement aid and stays fault-free. *)
-        ( Crc.Engine.start ?fault:t.crc_fault t.cfg.crc,
-          if t.cfg.collision_tracking then Some (Crc.Engine.start Crc.Poly.crc64_xz)
-          else None )
-      in
-      Hashtbl.replace t.hvr (lut, tid) e;
-      e
+(* The slot of {LUT_ID, TID}, if it was ever used. *)
+let existing_slot t ~tid lut =
+  let i = lut + (8 * tid) in
+  if lut >= 0 && lut < 8 && tid >= 0 && i < Array.length t.slots then t.slots.(i) else None
 
-let truncated_bits ~rounding ~ty ~trunc (v : Axmemo_ir.Ir.value) =
-  let tr_f32, tr_f64, tr_i64 =
-    match rounding with
-    | Truncate -> (Bits.truncate_f32, Bits.truncate_f64, Bits.truncate_int64)
-    | Nearest -> (Bits.round_f32, Bits.round_f64, Bits.round_int64)
-  in
-  match (ty : Axmemo_ir.Ir.ty), v with
+let slot t ~tid lut =
+  if lut < 0 || lut > 7 || tid < 0 then
+    invalid_arg "Memo_unit: LUT id must be 0..7 and TID non-negative";
+  let i = lut + (8 * tid) in
+  if i >= Array.length t.slots then begin
+    let grown = Array.make (8 * (tid + 1)) None in
+    Array.blit t.slots 0 grown 0 (Array.length t.slots);
+    t.slots <- grown
+  end;
+  match t.slots.(i) with
+  | Some s -> s
+  | None ->
+      let s =
+        {
+          (* Only the tag hash is real hardware; the fingerprint engine is a
+             measurement aid and stays fault-free. *)
+          tag = Crc.Engine.start ?fault:t.crc_fault t.cfg.crc;
+          fp_engine =
+            (if t.cfg.collision_tracking then Some (Crc.Engine.start Crc.Poly.crc64_xz)
+             else None);
+          latched = false;
+          key = 0L;
+          fp = 0L;
+        }
+      in
+      t.slots.(i) <- Some s;
+      s
+
+(* Drop the in-flight hash: the next send starts a fresh one. *)
+let clear_register s =
+  Crc.Engine.reset s.tag;
+  match s.fp_engine with Some e -> Crc.Engine.reset e | None -> ()
+
+(* [Bits.truncate_int64] and [Bits.round_int64], restated here so that they
+   inline into [send] and the cell never leaves a register. *)
+let[@inline] clamp_bits hi bits = if bits < 0 then 0 else if bits > hi then hi else bits
+
+let[@inline] truncate64 bits v =
+  let bits = clamp_bits 63 bits in
+  if bits = 0 then v else Int64.logand v (Int64.shift_left (-1L) bits)
+
+let[@inline] round64 bits v =
+  let bits = clamp_bits 62 bits in
+  if bits = 0 then v else truncate64 bits (Int64.add v (Int64.shift_left 1L (bits - 1)))
+
+let[@inline] f32_word b = Int64.logand (Int64.of_int32 b) 0xFFFFFFFFL
+
+(* The bytes [send] hashes, as a little-endian word: the input mapped into
+   its truncation (or rounding) cell exactly as [Bits.truncate_*] and
+   [Bits.round_*] map it. *)
+let[@inline] cell_bits rounding (ty : Axmemo_ir.Ir.ty) trunc (v : Axmemo_ir.Ir.value) =
+  match (ty, v) with
   | F32, VF x ->
-      (Int64.logand (Int64.of_int32 (Bits.f32_bits (tr_f32 ~bits:trunc x))) 0xFFFFFFFFL, 4)
-  | F64, VF x -> (Bits.f64_bits (tr_f64 ~bits:trunc x), 8)
-  | I32, VI x -> (Int64.logand (tr_i64 ~bits:trunc x) 0xFFFFFFFFL, 4)
-  | I64, VI x -> (tr_i64 ~bits:trunc x, 8)
+      let b = Int32.bits_of_float x in
+      let cell =
+        match rounding with
+        | Truncate ->
+            let bits = clamp_bits 31 trunc in
+            if bits = 0 then b else Int32.logand b (Int32.shift_left (-1l) bits)
+        | Nearest ->
+            let bits = clamp_bits 22 trunc in
+            if bits = 0 then b
+            else Int64.to_int32 (Int64.logand (round64 bits (f32_word b)) 0xFFFFFFFFL)
+      in
+      (* back through a float as [Bits] goes: that quiets a signalling NaN *)
+      f32_word (Int32.bits_of_float (Int32.float_of_bits cell))
+  | F64, VF x -> (
+      (* a binary64 pattern survives [Int64.float_of_bits] unchanged *)
+      let b = Int64.bits_of_float x in
+      match rounding with
+      | Truncate -> truncate64 trunc b
+      | Nearest ->
+          let bits = clamp_bits 51 trunc in
+          if bits = 0 then b else round64 bits b)
+  | I32, VI x -> (
+      match rounding with
+      | Truncate -> Int64.logand (truncate64 trunc x) 0xFFFFFFFFL
+      | Nearest -> Int64.logand (round64 trunc x) 0xFFFFFFFFL)
+  | I64, VI x -> ( match rounding with Truncate -> truncate64 trunc x | Nearest -> round64 trunc x)
   | (F32 | F64), VI _ | (I32 | I64), VF _ ->
       invalid_arg "Memo_unit.send: value kind does not match declared type"
+
+(* [Crc.Engine.feed_int] takes at most seven bytes as an immediate, so an
+   8-byte cell goes in as two 4-byte halves, which hash as one 8-byte step. *)
+let[@inline] feed_cell e ~width cell =
+  Crc.Engine.feed_int e ~width:4 (Int64.to_int cell land 0xFFFFFFFF);
+  if width = 8 then
+    Crc.Engine.feed_int e ~width:4 (Int64.to_int (Int64.shift_right_logical cell 32))
 
 let extra_truncation t ~lut_id =
   match t.adapt with
@@ -518,19 +599,25 @@ let extra_truncation t ~lut_id =
 let l1_evict_hook t = t.l1_evict_opt
 let l2_evict_hook t = t.l2_evict_opt
 
-let send ?(tid = 0) t ~lut ~ty ~trunc v =
+let send_tid t ~tid ~lut ~(ty : Axmemo_ir.Ir.ty) ~trunc v =
   if not t.monitor.tripped then begin
     let trunc = trunc + extra_truncation t ~lut_id:lut in
-    let bits, width = truncated_bits ~rounding:t.cfg.rounding ~ty ~trunc v in
-    let crc, fp = engines t ~tid lut in
-    Crc.Engine.feed_int64 crc ~width bits;
-    Option.iter (fun e -> Crc.Engine.feed_int64 e ~width bits) fp;
+    let width = match ty with F32 | I32 -> 4 | F64 | I64 -> 8 in
+    let cell = cell_bits t.cfg.rounding ty trunc v in
+    let hvr = slot t ~tid lut in
+    feed_cell hvr.tag ~width cell;
+    (match hvr.fp_engine with Some e -> feed_cell e ~width cell | None -> ());
     t.sends <- t.sends + 1;
     t.bytes_hashed <- t.bytes_hashed + width;
     match t.telem with
-    | Some tl -> Registry.observe tl.trunc_hist (float_of_int trunc)
+    | Some tl ->
+        if trunc >= 0 && trunc < Array.length tl.trunc_counts then
+          tl.trunc_counts.(trunc) <- tl.trunc_counts.(trunc) + 1
+        else Registry.observe tl.trunc_hist (float_of_int trunc)
     | None -> ()
   end
+
+let send ?(tid = 0) t ~lut ~ty ~trunc v = send_tid t ~tid ~lut ~ty ~trunc v
 
 (* Phase machine for the adaptive mode: normal -> profiling -> adjust. *)
 let adapt_tick t =
@@ -603,16 +690,20 @@ let monitor_should_force t =
   t.cfg.monitor
   && t.monitor.hits_seen mod sample_interval = 0
 
-let record_hit_fingerprint t ~lut ~key ~fp =
-  match fp with
-  | None -> ()
-  | Some fp_val -> (
-      match Hashtbl.find_opt t.fingerprints (lut, key) with
-      | Some stored when stored <> fp_val -> (
-          t.collisions <- t.collisions + 1;
-          match t.profile with Some pr -> pr.pr_collision ~lut | None -> ())
-      | Some _ -> ()
-      | None -> ())
+(* The fingerprint a lookup on [s] latched, as the profiler's option. *)
+let latched_fp s = match s.fp_engine with Some _ -> Some s.fp | None -> None
+
+let record_hit_fingerprint t ~lut ~key s =
+  match (s.fp_engine, t.fingerprints.(lut)) with
+  | Some _, Some tbl -> (
+      match Fp_table.find tbl key with
+      | stored ->
+          if not (Int64.equal stored s.fp) then begin
+            t.collisions <- t.collisions + 1;
+            match t.profile with Some pr -> pr.pr_collision ~lut | None -> ()
+          end
+      | exception Not_found -> ())
+  | _ -> ()
 
 (* One observed-error sample entering the monitor's window, from either
    source: a forced-miss shadow comparison ([monitor_compare]) or a decayed
@@ -711,7 +802,7 @@ let probe_l3 t ~lut ~key =
           t.last_level <- Miss;
           None)
 
-let lookup ?(tid = 0) t ~lut =
+let lookup_tid t ~tid ~lut =
   t.lookups <- t.lookups + 1;
   t.last_l3_cycles <- 0;
   adapt_tick t;
@@ -726,8 +817,8 @@ let lookup ?(tid = 0) t ~lut =
   end
   else begin
     t.pr_forced <- false;
-    let crc, fp_engine = engines t ~tid lut in
-    let key = Crc.Engine.value crc in
+    let hvr = slot t ~tid lut in
+    let key = Crc.Engine.value hvr.tag in
     (* The HVR holds the in-flight hash; an upset there corrupts the key the
        probe and a subsequent update both use. *)
     let key =
@@ -735,18 +826,16 @@ let lookup ?(tid = 0) t ~lut =
       | None -> key
       | Some inj -> Injector.corrupt inj Fault_model.Hvr ~width:t.cfg.crc.Crc.Poly.width key
     in
-    let fp = Option.map Crc.Engine.value fp_engine in
+    (match hvr.fp_engine with Some e -> hvr.fp <- Crc.Engine.value e | None -> ());
     (* The hash register is consumed: the next send starts a fresh hash. *)
-    Hashtbl.remove t.hvr (lut, tid);
-    Hashtbl.replace t.latched_key (lut, tid) key;
-    (match fp with
-    | Some f -> Hashtbl.replace t.latched_fp (lut, tid) f
-    | None -> Hashtbl.remove t.latched_fp (lut, tid));
+    clear_register hvr;
+    hvr.latched <- true;
+    hvr.key <- key;
     let result =
       match Lut.lookup t.l1 ~lut_id:lut ~key with
-      | Some payload ->
+      | Some _ as hit ->
           t.last_level <- Hit_l1;
-          Some payload
+          hit
       | None -> (
           match t.l2 with
           | None -> (
@@ -754,25 +843,25 @@ let lookup ?(tid = 0) t ~lut =
               | None -> probe_l3 t ~lut ~key
               | Some s -> (
                   match s.sl_lookup ~lut_id:lut ~key with
-                  | Some payload ->
+                  | Some payload as hit ->
                       t.last_level <- Hit_l2;
                       (* The shared level is inclusive too: fill the L1 LUT. *)
                       Lut.insert t.l1 ~lut_id:lut ~key ~payload (l1_evict_hook t);
                       (match t.profile with
                       | Some pr -> pr.pr_insert ~lev:`L1 ~lut ~key ~fp:None
                       | None -> ());
-                      Some payload
+                      hit
                   | None -> probe_l3 t ~lut ~key))
           | Some l2 -> (
               match Lut.lookup l2 ~lut_id:lut ~key with
-              | Some payload ->
+              | Some payload as hit ->
                   t.last_level <- Hit_l2;
                   (* Fill the L1 LUT on an L2 hit (inclusive hierarchy). *)
                   Lut.insert t.l1 ~lut_id:lut ~key ~payload (l1_evict_hook t);
                   (match t.profile with
                   | Some pr -> pr.pr_insert ~lev:`L1 ~lut ~key ~fp:None
                   | None -> ());
-                  Some payload
+                  hit
               | None -> probe_l3 t ~lut ~key))
     in
     let result =
@@ -793,12 +882,12 @@ let lookup ?(tid = 0) t ~lut =
     | None ->
         t.misses <- t.misses + 1;
         (match t.profile with
-        | Some pr -> pr.pr_lookup ~lut ~key ~fp ~level:Miss ~forced:t.pr_forced
+        | Some pr -> pr.pr_lookup ~lut ~key ~fp:(latched_fp hvr) ~level:Miss ~forced:t.pr_forced
         | None -> ());
         None
-    | Some payload ->
+    | Some payload as hit ->
         t.monitor.hits_seen <- t.monitor.hits_seen + 1;
-        record_hit_fingerprint t ~lut ~key ~fp;
+        record_hit_fingerprint t ~lut ~key hvr;
         if monitor_should_force t then begin
           (* Forced miss: the program recomputes; [update] will compare. *)
           t.monitor.pending <- Some (lut, key, payload);
@@ -806,7 +895,7 @@ let lookup ?(tid = 0) t ~lut =
           t.misses <- t.misses + 1;
           t.last_level <- Miss;
           (match t.profile with
-          | Some pr -> pr.pr_lookup ~lut ~key ~fp ~level:Miss ~forced:true
+          | Some pr -> pr.pr_lookup ~lut ~key ~fp:(latched_fp hvr) ~level:Miss ~forced:true
           | None -> ());
           None
         end
@@ -817,11 +906,14 @@ let lookup ?(tid = 0) t ~lut =
           | Hit_l3 -> t.l3_hits <- t.l3_hits + 1
           | Miss -> ());
           (match t.profile with
-          | Some pr -> pr.pr_lookup ~lut ~key ~fp ~level:t.last_level ~forced:false
+          | Some pr ->
+              pr.pr_lookup ~lut ~key ~fp:(latched_fp hvr) ~level:t.last_level ~forced:false
           | None -> ());
-          Some payload
+          hit
         end
   end
+
+let lookup ?(tid = 0) t ~lut = lookup_tid t ~tid ~lut
 
 let monitor_compare t ~lut ~expected_payload ~actual_payload =
   let m = t.monitor in
@@ -840,14 +932,26 @@ let monitor_compare t ~lut ~expected_payload ~actual_payload =
   | None -> ());
   monitor_note t ~bad
 
-let update ?(tid = 0) t ~lut payload =
+(* Whether the slot (if any) latched [key] at its last lookup. *)
+let latches sl key =
+  match sl with Some s -> s.latched && Int64.equal s.key key | None -> false
+
+let fp_table t lut =
+  match t.fingerprints.(lut) with
+  | Some tbl -> tbl
+  | None ->
+      let tbl = Fp_table.create 256 in
+      t.fingerprints.(lut) <- Some tbl;
+      tbl
+
+let update_tid t ~tid ~lut payload =
   if not t.monitor.tripped then begin
     t.updates <- t.updates + 1;
+    let sl = existing_slot t ~tid lut in
     (match t.adapt with
     | Some a -> (
         match Hashtbl.find_opt a.pending_cmp lut with
-        | Some (pkey, lut_payload)
-          when Hashtbl.find_opt t.latched_key (lut, tid) = Some pkey ->
+        | Some (pkey, lut_payload) when latches sl pkey ->
             let kind =
               match Hashtbl.find_opt t.decls lut with
               | Some d -> d.payload
@@ -871,14 +975,13 @@ let update ?(tid = 0) t ~lut payload =
         | Some _ | None -> ())
     | None -> ());
     (match t.monitor.pending with
-    | Some (plut, pkey, lut_payload)
-      when plut = lut && Hashtbl.find_opt t.latched_key (lut, tid) = Some pkey ->
+    | Some (plut, pkey, lut_payload) when plut = lut && latches sl pkey ->
         monitor_compare t ~lut ~expected_payload:lut_payload ~actual_payload:payload;
         t.monitor.pending <- None
     | Some _ | None -> ());
-    match Hashtbl.find_opt t.latched_key (lut, tid) with
-    | None -> ()  (* update without a preceding lookup: drop, as hardware would *)
-    | Some key ->
+    match sl with
+    | Some s when s.latched ->
+        let key = s.key in
         Lut.insert t.l1 ~lut_id:lut ~key ~payload (l1_evict_hook t);
         (match t.l2 with
         | Some l2 -> Lut.insert l2 ~lut_id:lut ~key ~payload (l2_evict_hook t)
@@ -888,16 +991,16 @@ let update ?(tid = 0) t ~lut payload =
             | None -> ()));
         (match t.profile with
         | Some pr ->
-            let fp = Hashtbl.find_opt t.latched_fp (lut, tid) in
+            let fp = latched_fp s in
             pr.pr_insert ~lev:`L1 ~lut ~key ~fp;
             if Option.is_some t.l2 || Option.is_some t.shared_l2 then
               pr.pr_insert ~lev:`L2 ~lut ~key ~fp
         | None -> ());
-        if t.cfg.collision_tracking then
-          Option.iter
-            (fun fp -> Hashtbl.replace t.fingerprints (lut, key) fp)
-            (Hashtbl.find_opt t.latched_fp (lut, tid))
+        if t.cfg.collision_tracking then Fp_table.replace (fp_table t lut) key s.fp
+    | Some _ | None -> ()  (* update without a preceding lookup: drop, as hardware would *)
   end
+
+let update ?(tid = 0) t ~lut payload = update_tid t ~tid ~lut payload
 
 let invalidate t ~lut =
   t.invalidations <- t.invalidations + 1;
@@ -906,9 +1009,10 @@ let invalidate t ~lut =
   (match t.shared_l2 with Some s -> s.sl_invalidate ~lut_id:lut | None -> ());
   (match t.l3 with Some p -> p.t3_invalidate ~lut_id:lut | None -> ());
   (match t.profile with Some pr -> pr.pr_invalidate ~lut | None -> ());
-  Hashtbl.iter
-    (fun (l, tid) _ -> if l = lut then Hashtbl.remove t.hvr (l, tid))
-    (Hashtbl.copy t.hvr)
+  (* Every thread's in-flight hash for [lut] is dropped; latched keys stay. *)
+  for tid = 0 to (Array.length t.slots / 8) - 1 do
+    match existing_slot t ~tid lut with Some s -> clear_register s | None -> ()
+  done
 
 (* Receiver side of the cross-core invalidate broadcast: another core retired
    an [invalidate] for [lut], so this core's private L1 copies are stale. Only
@@ -928,9 +1032,9 @@ let l1_holds t ~lut = Lut.holds_lut t.l1 ~lut_id:lut
 
 let hooks ?(tid = 0) t : Interp.memo_hooks =
   {
-    send = (fun ~lut ~ty ~trunc v -> send ~tid t ~lut ~ty ~trunc v);
-    lookup = (fun ~lut -> lookup ~tid t ~lut);
-    update = (fun ~lut payload -> update ~tid t ~lut payload);
+    send = (fun ~lut ~ty ~trunc v -> send_tid t ~tid ~lut ~ty ~trunc v);
+    lookup = (fun ~lut -> lookup_tid t ~tid ~lut);
+    update = (fun ~lut payload -> update_tid t ~tid ~lut payload);
     invalidate = (fun ~lut -> invalidate t ~lut);
   }
 
@@ -960,6 +1064,13 @@ let flush_metrics t =
   match t.telem with
   | None -> ()
   | Some tl ->
+      Array.iteri
+        (fun trunc n ->
+          if n > 0 then begin
+            Registry.observe_n tl.trunc_hist (float_of_int trunc) n;
+            tl.trunc_counts.(trunc) <- 0
+          end)
+        tl.trunc_counts;
       Registry.set_count tl.sends_c t.sends;
       Registry.set_count tl.bytes_hashed_c t.bytes_hashed;
       Registry.set_count tl.lookups_c t.lookups;
@@ -1008,10 +1119,14 @@ let lut_entries t =
 let reset t =
   Lut.invalidate_all t.l1;
   Option.iter Lut.invalidate_all t.l2;
-  Hashtbl.reset t.hvr;
-  Hashtbl.reset t.latched_key;
-  Hashtbl.reset t.latched_fp;
-  Hashtbl.reset t.fingerprints;
+  Array.iter
+    (function
+      | Some s ->
+          clear_register s;
+          s.latched <- false
+      | None -> ())
+    t.slots;
+  Array.iter (function Some tbl -> Fp_table.reset tbl | None -> ()) t.fingerprints;
   t.monitor.hits_seen <- 0;
   t.monitor.pending <- None;
   t.monitor.window_count <- 0;

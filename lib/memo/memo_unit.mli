@@ -7,7 +7,16 @@
 
     The unit plugs into the interpreter through {!hooks} and reports the
     latency class of the most recent lookup so the CPU timing model can
-    charge Table 4 latencies. *)
+    charge Table 4 latencies.
+
+    Allocation contract: the hash value registers are a slot array
+    indexed by [lut + 8 * tid], grown on a TID's first use, and each slot's
+    CRC engines are started once and reset in place. On a unit with no
+    fault injector and no profiler (a registry may be attached), {!send}
+    and an {!update} of an already-fingerprinted key allocate nothing in
+    steady state, and {!lookup} allocates only its [Some] result and the
+    boxed key and fingerprint it latches. The shared-level, DRAM-tier,
+    adaptive and quality-monitor sampling paths are outside the contract. *)
 
 type rounding = Truncate | Nearest
 (** How the approximation maps an input into its cell before hashing:
@@ -158,8 +167,10 @@ val create :
   t
 (** [create config decls] builds a unit serving the declared logical LUTs.
     With [?metrics], the unit registers its instruments (all names under
-    [memo.*]) and records live events — per-send truncation levels, LUT
-    evictions/spills, adaptive and monitor window outcomes — as it runs.
+    [memo.*]) and records live events — LUT evictions/spills, adaptive and
+    monitor window outcomes — as it runs; per-send truncation levels are
+    counted as it runs and enter the [memo.trunc_bits] histogram at
+    {!flush_metrics}.
     Telemetry is purely observational: results are bit-identical with or
     without it. With [?shared_l2], L1 misses fall through to the given
     external level instead of a private L2. With [?profile], the unit
@@ -176,7 +187,11 @@ val hooks : ?tid:int -> t -> Axmemo_ir.Interp.memo_hooks
     by the core's threads. *)
 
 val send : ?tid:int -> t -> lut:int -> ty:Axmemo_ir.Ir.ty -> trunc:int -> Axmemo_ir.Ir.value -> unit
-(** TID-explicit variants of the hook operations, for SMT models and tests. *)
+(** TID-explicit variants of the hook operations, for SMT models and tests.
+    {!send} and {!lookup} address the register of [(lut, tid)]; an {!update}
+    with no lookup on it since the last {!reset} is dropped.
+    @raise Invalid_argument from {!send} or {!lookup} (untripped) when [lut]
+    is outside 0..7 (the 3-bit LUT_ID) or [tid] is negative. *)
 
 val lookup : ?tid:int -> t -> lut:int -> int64 option
 val update : ?tid:int -> t -> lut:int -> int64 -> unit
@@ -254,10 +269,11 @@ val lut_entries : t -> (int * int64 * int64) list
 
 val flush_metrics : t -> unit
 (** Mirror the cumulative {!stats} into the attached registry (counters
-    [memo.sends], [memo.lookups], [memo.l1.hits], ...), histogram the
+    [memo.sends], [memo.lookups], [memo.l1.hits], ...), add the sends since
+    the last flush to the [memo.trunc_bits] histogram, histogram the
     current per-set LUT occupancies, and set the [memo.hit_rate] and
-    [memo.monitor.tripped] gauges. Call once, when the run ends. No-op
-    without an attached registry. *)
+    [memo.monitor.tripped] gauges. Call once, when the run ends, before
+    snapshotting the registry. No-op without an attached registry. *)
 
 val reset : t -> unit
 (** Invalidate all storage, clear hash registers, stats and monitor state. *)

@@ -87,6 +87,8 @@ let remap_regions ~offset regions =
       (fun (r : Transform.region) -> { r with Transform.lut_id = r.Transform.lut_id + offset })
       regions
 
+type mix = mix_entry list
+
 (* One probe instance per workload gives its renumbered regions and their
    LUT declarations. *)
 let resolve_mix cfg =
@@ -155,9 +157,9 @@ let mix_regions mix =
     (fun e -> List.map (fun (r : Transform.region) -> (r.kernel, r.lut_id)) e.regions)
     mix
 
-let create_cluster ?(metrics = false) ?(profile = false) ?l2_port ?on_invalidate cfg =
+let create_cluster ?(metrics = false) ?(profile = false) ?mix ?l2_port ?on_invalidate cfg =
   if cfg.ncores < 1 then invalid_arg "Corun: need at least one core";
-  let mix = resolve_mix cfg in
+  let mix = match mix with Some m -> m | None -> resolve_mix cfg in
   (* The union of every workload's (renumbered) LUT declarations — what
      each core's unit is built to serve. *)
   let decls = List.concat_map (fun e -> e.decls) mix in

@@ -48,6 +48,18 @@ val label : config -> string
 
 (** {1 The node} *)
 
+type mix
+(** A workload mix resolved against the benchmark registry: each
+    workload's renumbered regions and their LUT declarations, read off one
+    probe instance per workload. *)
+
+val resolve_mix : config -> mix
+(** Makes one instance of every workload in [config.workloads]
+    ([config.variant] inputs) to read its regions. Depends on nothing else
+    in the config.
+    @raise Invalid_argument on an unknown benchmark, an empty mix, or a mix
+    needing more than 8 logical LUTs. *)
+
 type cluster
 
 type l2_port_maker =
@@ -61,6 +73,7 @@ type l2_port_maker =
 val create_cluster :
   ?metrics:bool ->
   ?profile:bool ->
+  ?mix:mix ->
   ?l2_port:l2_port_maker ->
   ?on_invalidate:(core:int -> lut:int -> at:int -> unit) ->
   config ->
@@ -77,7 +90,10 @@ val create_cluster :
     [?on_invalidate] fires after each local invalidate broadcast — with the
     issuing core, the LUT id, and the absolute issue cycle — so a directory
     can issue cross-node invalidations. Neither default changes any
-    behaviour.
+    behaviour. [?mix] is [resolve_mix config] when the caller already has
+    it (a multi-node cluster builds every node from one); it must come
+    from a config with the same [workloads] and [variant]. Absent, it is
+    resolved here.
     @raise Invalid_argument on an unknown benchmark, an empty mix, fewer
     than one core, or a mix needing more than 8 logical LUTs. *)
 

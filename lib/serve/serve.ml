@@ -91,14 +91,17 @@ let cycles_per_second = machine.Machine.freq_ghz *. 1e9
 
 (* ---- calibration ------------------------------------------------------ *)
 
+(* The calibration input: the cell's node, cut down to one fault-free core.
+   [calibrate] reads nothing else of the cell. *)
+let calibration_node cfg = { cfg.cluster with Corun.ncores = 1; faults = None }
+
 (* Mean cold service cycles over the distinct workloads of the mix, from a
    throwaway fault-free 1-core cluster. This anchors the load -> rate
    conversion, so "load 1.0" means one core-mean-service-time of work
    arriving per core per unit time. *)
-let calibrate cfg =
-  let c1 = { cfg.cluster with Corun.ncores = 1; faults = None } in
+let calibrate_node c1 =
   let cluster = Corun.create_cluster c1 in
-  let distinct = List.sort_uniq compare cfg.cluster.Corun.workloads in
+  let distinct = List.sort_uniq compare c1.Corun.workloads in
   let cycles =
     List.map
       (fun w ->
@@ -107,6 +110,8 @@ let calibrate cfg =
       distinct
   in
   Float.max 1.0 (Stats.mean (Array.of_list cycles))
+
+let calibrate cfg = calibrate_node (calibration_node cfg)
 
 (* The arrival stream's seed: position-independent (a cell draws the same
    stream whether it runs alone or inside a matrix) and re-keyed by the
@@ -194,17 +199,18 @@ let hist_of snap name =
 
 (* ---- the run ----------------------------------------------------------- *)
 
-let run (cfg : config) =
-  let wall0 = Unix.gettimeofday () in
+let check (cfg : config) =
   (match cfg.arrival with
   | Arrival.Closed -> ()
   | _ ->
       if not (cfg.load > 0.0 && Float.is_finite cfg.load) then
         invalid_arg "Serve.run: open-loop arrivals need a positive load");
   if cfg.slo_cycles < 0 then invalid_arg "Serve.run: negative slo_cycles";
-  if cfg.nodes < 1 then invalid_arg "Serve.run: need at least one node";
+  if cfg.nodes < 1 then invalid_arg "Serve.run: need at least one node"
+
+(* One checked cell, given its calibration; [wall0] starts its wall clock. *)
+let run_calibrated ~wall0 ~mean_service (cfg : config) =
   let ncores = cfg.cluster.Corun.ncores * cfg.nodes in
-  let mean_service = calibrate cfg in
   let rate =
     match cfg.arrival with
     | Arrival.Closed -> 0.0
@@ -492,7 +498,22 @@ let run (cfg : config) =
     sim_wall_seconds = Unix.gettimeofday () -. wall0;
   }
 
-let run_matrix ?jobs cfgs = Pool.run ?jobs run cfgs
+let run (cfg : config) =
+  let wall0 = Unix.gettimeofday () in
+  check cfg;
+  run_calibrated ~wall0 ~mean_service:(calibrate cfg) cfg
+
+(* Cells that share a calibration input share one calibration, computed
+   once over the same pool before the cells run. *)
+let run_matrix ?jobs cfgs =
+  List.iter check cfgs;
+  let nodes = List.sort_uniq compare (List.map calibration_node cfgs) in
+  let means = List.combine nodes (Pool.run ?jobs calibrate_node nodes) in
+  Pool.run ?jobs
+    (fun cfg ->
+      let wall0 = Unix.gettimeofday () in
+      run_calibrated ~wall0 ~mean_service:(List.assoc (calibration_node cfg) means) cfg)
+    cfgs
 
 (* ---- saturation sweep -------------------------------------------------- *)
 

@@ -178,7 +178,11 @@ val run : config -> outcome
 
 val run_matrix : ?jobs:int -> config list -> outcome list
 (** Each configuration as one independent cell fanned over a domain pool;
-    results in input order and byte-identical to a serial run. *)
+    results in input order and byte-identical to a serial run. Cells whose
+    calibration input is the same (the node with one core and no faults)
+    share one {!calibrate}, computed first over the same pool, so a cell's
+    [sim_wall_seconds] here does not include calibration, while {!run}'s
+    does. *)
 
 (** {1 Saturation} *)
 

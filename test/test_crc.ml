@@ -69,6 +69,41 @@ let test_bytes_fed () =
   Engine.feed_byte t 0xFF;
   Alcotest.(check int) "9 bytes" 9 (Engine.bytes_fed t)
 
+let test_reset () =
+  let t = Engine.start Poly.crc32 in
+  Engine.feed_string t "stale input";
+  Engine.reset t;
+  Alcotest.(check int) "bytes fed cleared" 0 (Engine.bytes_fed t);
+  Engine.feed_string t "abc";
+  Alcotest.check hex "reset = fresh start" (Engine.digest_string Poly.crc32 "abc")
+    (Engine.value t)
+
+(* Minor-heap words one call of [f] allocates, averaged over [n] calls, net
+   of the cost of reading the counter. *)
+let minor_words_per_call ?(n = 10_000) f =
+  let c0 = Gc.minor_words () in
+  let c1 = Gc.minor_words () in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  let w1 = Gc.minor_words () in
+  (w1 -. w0 -. (c1 -. c0)) /. float_of_int n
+
+(* The register is unboxed storage, so streaming an (already boxed) input
+   allocates nothing; with a [mutable int64] register each feed boxed a
+   fresh 3-word value. Measured here: 0 words for both engines. *)
+let test_feed_int64_allocates_nothing () =
+  let v = Sys.opaque_identity 0x0123456789ABCDEFL in
+  List.iter
+    (fun p ->
+      let t = Engine.start p in
+      let words = minor_words_per_call (fun () -> Engine.feed_int64 t ~width:8 v) in
+      Alcotest.(check (float 0.01)) (p.Poly.name ^ " words per feed_int64") 0.0 words;
+      let words = minor_words_per_call (fun () -> Engine.feed_int t ~width:4 0x7FEDCBA9) in
+      Alcotest.(check (float 0.01)) (p.Poly.name ^ " words per feed_int") 0.0 words)
+    [ Poly.crc32; Poly.crc64_xz ]
+
 let test_table_structure () =
   let tbl = Engine.table Poly.crc32 in
   Alcotest.(check int) "256 entries" 256 (Array.length tbl);
@@ -133,6 +168,29 @@ let prop_feed_string_equals_feed_byte =
           && Engine.bytes_fed sliced = Engine.bytes_fed byte_wise)
         Poly.all)
 
+let prop_feed_int_equals_feed_int64 =
+  (* The immediate feed is the int64 feed of the same low bytes, and two
+     4-byte halves hash as one 8-byte word, on the sliced path and on a
+     fault-hooked (per-byte) engine alike. *)
+  QCheck.Test.make ~name:"feed_int = feed_int64; two halves = one word" ~count:200
+    QCheck.(pair (int_range 0 7) int64)
+    (fun (width, v) ->
+      List.for_all
+        (fun p ->
+          List.for_all
+            (fun fault ->
+              let a = Engine.start ?fault p and b = Engine.start ?fault p in
+              Engine.feed_int a ~width (Int64.to_int v);
+              Engine.feed_int64 b ~width v;
+              let lo = Int64.to_int (Int64.logand v 0xFFFFFFFFL) in
+              let hi = Int64.to_int (Int64.shift_right_logical v 32) in
+              Engine.feed_int a ~width:4 lo;
+              Engine.feed_int a ~width:4 hi;
+              Engine.feed_int64 b ~width:8 v;
+              Engine.value a = Engine.value b && Engine.bytes_fed a = Engine.bytes_fed b)
+            [ None; Some (fun _ -> 0L) ])
+        Poly.all)
+
 let prop_width_mask =
   QCheck.Test.make ~name:"digest fits the declared width" ~count:200 gen_string
     (fun s ->
@@ -153,7 +211,7 @@ let prop_distinct_inputs_rarely_collide =
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_serial_equals_parallel; prop_incremental_any_split;
-      prop_feed_string_equals_feed_byte; prop_width_mask;
+      prop_feed_string_equals_feed_byte; prop_feed_int_equals_feed_int64; prop_width_mask;
       prop_distinct_inputs_rarely_collide ]
 
 let () =
@@ -169,6 +227,8 @@ let () =
           Alcotest.test_case "copy" `Quick test_copy_snapshots;
           Alcotest.test_case "feed_int64" `Quick test_feed_int64_little_endian;
           Alcotest.test_case "bytes fed" `Quick test_bytes_fed;
+          Alcotest.test_case "reset" `Quick test_reset;
+          Alcotest.test_case "feed allocates nothing" `Quick test_feed_int64_allocates_nothing;
           Alcotest.test_case "table structure" `Quick test_table_structure;
           Alcotest.test_case "every bit matters" `Quick test_sensitivity_every_bit;
           Alcotest.test_case "software cost model" `Quick test_cost_model;

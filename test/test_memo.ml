@@ -465,6 +465,174 @@ let test_smt_interleaving_would_corrupt_without_tid () =
   Alcotest.(check (option int64)) "garbled stream does not alias clean one" None
     (MU.lookup ~tid:0 u ~lut:0)
 
+(* --- allocation contract --- *)
+
+(* A fault-free unit with a registry attached, driven through its hooks
+   the way the interpreter drives it: every send opens a fresh hash (the
+   previous lookup consumed it), every lookup hits, and every update
+   rewrites a key that is already fingerprinted. Only the lookup allocates:
+   its [Some] result and the boxed key and fingerprint. Measured minor
+   words per call: send 0, lookup 8.06, update 0.32 (the quality monitor's
+   1-in-100 samples); the tuple-keyed register tables these bounds replaced
+   measured 87, 45 and 28. *)
+let test_hot_path_allocation () =
+  let u =
+    MU.create ~metrics:(Axmemo_telemetry.Registry.create ()) MU.default_config
+      [ { MU.lut_id = 0; payload = Payload.Pf32 }; { MU.lut_id = 1; payload = Payload.Pf64 } ]
+  in
+  let h = MU.hooks u in
+  let x = Ir.VF 1.5 and payload = Sys.opaque_identity 777L in
+  let send () = h.send ~lut:0 ~ty:Ir.F32 ~trunc:4 x in
+  let lookup () = ignore (Sys.opaque_identity (h.lookup ~lut:0)) in
+  let update () = h.update ~lut:0 payload in
+  for _ = 1 to 100 do
+    send ();
+    lookup ();
+    update ()
+  done;
+  (* words per op, net of the cost of reading the counter *)
+  let c0 = Gc.minor_words () in
+  let overhead = Gc.minor_words () -. c0 in
+  let words = Array.make 3 0.0 in
+  let measure k op =
+    let w0 = Gc.minor_words () in
+    op ();
+    words.(k) <- words.(k) +. (Gc.minor_words () -. w0 -. overhead)
+  in
+  let n = 10_000 in
+  for _ = 1 to n do
+    measure 0 send;
+    measure 1 lookup;
+    measure 2 update
+  done;
+  List.iteri
+    (fun k (name, bound) ->
+      let w = words.(k) /. float_of_int n in
+      Alcotest.(check bool) (Printf.sprintf "%s: %.2f words <= %g" name w bound) true (w <= bound))
+    [ ("send", 1.0); ("lookup", 12.0); ("update", 1.0) ];
+  (* the quality monitor forces 1 in 100 hits to miss; everything else hits *)
+  let st = MU.stats u in
+  Alcotest.(check int) "every lookup hits or is sampled" st.lookups
+    (st.l1_hits + st.forced_misses + 1)
+
+(* --- HVR state machine against a byte-keyed spec --- *)
+
+(* The spec keeps, per {LUT, TID}, the exact bytes streamed into the hash
+   register since it was last consumed or dropped, computed with [Bits]
+   (never the unit's CRC): a lookup consumes its register and latches what
+   it held; [invalidate] drops the LUT's register for every TID but leaves
+   latched keys; [reset] drops everything. An update must then leave the
+   CRC-32 of the latched bytes, with its payload, in the unit's LUT; an
+   update with nothing latched changes nothing. *)
+type hvr_op =
+  | Send of { lut : int; tid : int; ty : Ir.ty; trunc : int; v : Ir.value }
+  | Lookup of { lut : int; tid : int }
+  | Update of { lut : int; tid : int; payload : int64 }
+  | Invalidate of int
+  | Reset
+
+let print_hvr_op = function
+  | Send { lut; tid; ty; trunc; v } ->
+      let ty = match ty with F32 -> "f32" | F64 -> "f64" | I32 -> "i32" | I64 -> "i64" in
+      Printf.sprintf "send(lut=%d,tid=%d,%s,n=%d,%s)" lut tid ty trunc
+        (match v with
+        | Ir.VF x -> Printf.sprintf "%h" x
+        | Ir.VI x -> Printf.sprintf "%LdL" x)
+  | Lookup { lut; tid } -> Printf.sprintf "lookup(lut=%d,tid=%d)" lut tid
+  | Update { lut; tid; payload } -> Printf.sprintf "update(lut=%d,tid=%d,%LdL)" lut tid payload
+  | Invalidate lut -> Printf.sprintf "invalidate(lut=%d)" lut
+  | Reset -> "reset"
+
+let gen_hvr_op =
+  let open QCheck.Gen in
+  let lut = int_range 0 7 and tid = int_range 0 2 in
+  let value : Ir.ty -> Ir.value t = function
+    | F32 -> map (fun b -> Ir.VF (Int32.float_of_bits b)) ui32
+    | F64 -> map (fun b -> Ir.VF (Int64.float_of_bits b)) ui64
+    | I32 -> map (fun b -> Ir.VI (Int64.of_int32 b)) ui32
+    | I64 -> map (fun b -> Ir.VI b) ui64
+  in
+  let send =
+    oneofl [ Ir.F32; Ir.F64; Ir.I32; Ir.I64 ] >>= fun ty ->
+    map4 (fun lut tid trunc v -> Send { lut; tid; ty; trunc; v }) lut tid (int_range 0 40) (value ty)
+  in
+  frequency
+    [
+      (6, send);
+      (3, map2 (fun lut tid -> Lookup { lut; tid }) lut tid);
+      (3, map3 (fun lut tid payload -> Update { lut; tid; payload }) lut tid ui64);
+      (1, map (fun lut -> Invalidate lut) lut);
+      (1, return Reset);
+    ]
+
+(* The bytes a send hashes, computed with [Bits] alone. *)
+let spec_bytes rounding (ty : Ir.ty) trunc (v : Ir.value) =
+  let module Bits = Axmemo_util.Bits in
+  let tr_f32, tr_f64, tr_i64 =
+    match rounding with
+    | MU.Truncate -> (Bits.truncate_f32, Bits.truncate_f64, Bits.truncate_int64)
+    | MU.Nearest -> (Bits.round_f32, Bits.round_f64, Bits.round_int64)
+  in
+  let bits, width =
+    match (ty, v) with
+    | F32, VF x ->
+        (Int64.logand (Int64.of_int32 (Bits.f32_bits (tr_f32 ~bits:trunc x))) 0xFFFFFFFFL, 4)
+    | F64, VF x -> (Bits.f64_bits (tr_f64 ~bits:trunc x), 8)
+    | I32, VI x -> (Int64.logand (tr_i64 ~bits:trunc x) 0xFFFFFFFFL, 4)
+    | I64, VI x -> (tr_i64 ~bits:trunc x, 8)
+    | _ -> invalid_arg "spec_bytes"
+  in
+  Bits.bytes_of_int64 bits ~width
+
+let prop_hvr_state_machine =
+  QCheck.Test.make ~name:"HVR slots match a byte-keyed spec" ~count:300
+    (QCheck.make
+       ~print:(fun (rounding, ops) ->
+         (if rounding = MU.Truncate then "truncate: " else "nearest: ")
+         ^ String.concat "; " (List.map print_hvr_op ops))
+       QCheck.Gen.(
+         pair (oneofl [ MU.Truncate; MU.Nearest ]) (list_size (int_range 1 80) gen_hvr_op)))
+    (fun (rounding, ops) ->
+      let u =
+        MU.create
+          { MU.default_config with monitor = false; rounding }
+          (List.init 8 (fun lut_id -> { MU.lut_id; payload = Payload.Pi64 }))
+      in
+      let pending = Hashtbl.create 8 and latched = Hashtbl.create 8 in
+      let held key = Option.value ~default:"" (Hashtbl.find_opt pending key) in
+      List.for_all
+        (fun op ->
+          match op with
+          | Send { lut; tid; ty; trunc; v } ->
+              MU.send ~tid u ~lut ~ty ~trunc v;
+              Hashtbl.replace pending (lut, tid) (held (lut, tid) ^ spec_bytes rounding ty trunc v);
+              true
+          | Lookup { lut; tid } ->
+              ignore (MU.lookup ~tid u ~lut);
+              Hashtbl.replace latched (lut, tid) (held (lut, tid));
+              Hashtbl.remove pending (lut, tid);
+              true
+          | Update { lut; tid; payload } -> (
+              let before = MU.lut_entries u in
+              MU.update ~tid u ~lut payload;
+              match Hashtbl.find_opt latched (lut, tid) with
+              | Some bytes ->
+                  let key = Axmemo_crc.Engine.digest_string Axmemo_crc.Poly.crc32 bytes in
+                  List.mem (lut, key, payload) (MU.lut_entries u)
+              | None -> MU.lut_entries u = before)
+          | Invalidate lut ->
+              MU.invalidate u ~lut;
+              for tid = 0 to 2 do
+                Hashtbl.remove pending (lut, tid)
+              done;
+              true
+          | Reset ->
+              MU.reset u;
+              Hashtbl.reset pending;
+              Hashtbl.reset latched;
+              true)
+        ops)
+
 (* --- properties --- *)
 
 let prop_store_then_lookup =
@@ -599,6 +767,7 @@ let test_random_insensitive_to_hits () =
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_hvr_state_machine;
       prop_store_then_lookup;
       prop_lut_occupancy_bounded;
       prop_lut_lookup_after_insert;
@@ -663,5 +832,7 @@ let () =
           Alcotest.test_case "backs off on errors" `Quick test_adaptive_backs_off_on_errors;
           Alcotest.test_case "reset" `Quick test_adaptive_reset;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "send/lookup/update hot path" `Quick test_hot_path_allocation ] );
       ("properties", qsuite);
     ]

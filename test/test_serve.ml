@@ -390,6 +390,28 @@ let test_serve_jobs_byte_identical () =
   Alcotest.(check bool) "byte-identical" true
     (Json.to_string ~indent:2 a = Json.to_string ~indent:2 b)
 
+(* A matrix calibrates once per distinct calibration input (the cell's node
+   cut to one fault-free core), so cells that differ only in load or core
+   count share one; each cell must still read what it reads alone. *)
+let test_matrix_equals_cells_alone () =
+  let cfgs =
+    [
+      base ~load:0.8 ();
+      base ~ncores:1 ~load:2.0 ();
+      base ~load:0.8 ~workloads:[ "sobel"; "blackscholes" ] ();
+    ]
+  in
+  let alone = List.map Serve.run cfgs in
+  let matrix = Serve.run_matrix ~jobs:2 cfgs in
+  List.iter2
+    (fun (a : Serve.outcome) (m : Serve.outcome) ->
+      Alcotest.(check (float 0.0)) "same calibration" a.mean_service_cycles
+        m.mean_service_cycles)
+    alone matrix;
+  Alcotest.(check string) "byte-identical reports"
+    (Json.to_string ~indent:2 (Serve.report alone))
+    (Json.to_string ~indent:2 (Serve.report matrix))
+
 let test_shed_rate_monotone_in_load () =
   let rates =
     List.map
@@ -525,6 +547,7 @@ let () =
         [
           Alcotest.test_case "closed = corun bits" `Quick test_closed_serve_equals_corun;
           Alcotest.test_case "jobs byte-identical" `Quick test_serve_jobs_byte_identical;
+          Alcotest.test_case "matrix = cells alone" `Quick test_matrix_equals_cells_alone;
           Alcotest.test_case "shed monotone in load" `Quick test_shed_rate_monotone_in_load;
           Alcotest.test_case "slo accounting" `Quick test_slo_accounting;
           Alcotest.test_case "warm beats cold" `Quick test_warm_beats_cold;
