@@ -120,27 +120,21 @@ let energy_saving ~baseline other =
 
 (* Block-label based hit counting for the software schemes: an observer
    counting entries into the engine's hit and miss blocks, composed after
-   the pipeline's hooks. *)
-let sw_hit_counter program =
-  let hit_sites = Hashtbl.create 64 and miss_sites = Hashtbl.create 64 in
-  Array.iter
-    (fun (f : Ir.func) ->
-      Array.iteri
-        (fun bidx (b : Ir.block) ->
-          if String.starts_with ~prefix:Axmemo_baselines.Sw_engine.hit_prefix b.label
-          then Hashtbl.replace hit_sites (f.fname, bidx) ()
-          else if
-            String.starts_with ~prefix:Axmemo_baselines.Sw_engine.miss_prefix b.label
-          then Hashtbl.replace miss_sites (f.fname, bidx) ())
-        f.blocks)
-    (program : Ir.program).funcs;
+   the pipeline's hooks. Whether a site opens a hit or a miss block is
+   decided when the site is compiled. *)
+let sw_hit_counter (program : Ir.program) =
+  let funcs = Hashtbl.create 16 in
+  Array.iter (fun (f : Ir.func) -> Hashtbl.replace funcs f.fname f) program.funcs;
   let hits = ref 0 and misses = ref 0 in
-  let on_exec fname bidx iidx _instr _addr =
-    if iidx = 0 then
-      if Hashtbl.mem hit_sites (fname, bidx) then incr hits
-      else if Hashtbl.mem miss_sites (fname, bidx) then incr misses
+  let exec_site fname bidx iidx _instr =
+    let opens prefix =
+      iidx = 0 && String.starts_with ~prefix (Hashtbl.find funcs fname).Ir.blocks.(bidx).label
+    in
+    if opens Axmemo_baselines.Sw_engine.hit_prefix then fun _ -> incr hits
+    else if opens Axmemo_baselines.Sw_engine.miss_prefix then fun _ -> incr misses
+    else ignore
   in
-  ({ Interp.no_hooks with on_exec }, hits, misses)
+  ({ Interp.no_hooks with exec_site }, hits, misses)
 
 let machine = Axmemo_cpu.Machine.hpi
 
@@ -295,9 +289,9 @@ let attach_tracer ~label pipe unit =
   let tr = Tracer.create ~clock:(fun () -> Pipeline.cycles pipe) () in
   Tracer.name_process tr ~pid:0 (Printf.sprintf "axmemo %s (1 cycle = 1 us)" label);
   Tracer.name_thread tr ~tid:0 "cpu";
-  let on_exec =
+  let exec_site =
     match unit with
-    | None -> fun _ _ _ _ _ -> ()
+    | None -> Interp.no_hooks.exec_site
     | Some unit -> (
         (match Memo_unit.injector unit with
         | Some inj ->
@@ -307,25 +301,27 @@ let attach_tracer ~label pipe unit =
             Injector.set_on_fault inj (fun site ->
                 Tracer.instant tr ("fault_" ^ Fault_model.site_name site))
         | None -> ());
-        (* The lookup's memo hook has already run when [on_exec] fires, so
-           [last_lookup_level] names the level that serviced it. *)
-        fun _fname _bidx _iidx (instr : Ir.instr) _addr ->
+        fun _fname _bidx _iidx (instr : Ir.instr) ->
           match instr with
           | Ir.Memo (Ir.Lookup _) -> (
-              match Memo_unit.last_lookup_level unit with
-              | Memo_unit.Hit_l1 -> Tracer.instant tr "lut_hit_l1"
-              | Memo_unit.Hit_l2 -> Tracer.instant tr "lut_hit_l2"
-              | Memo_unit.Hit_l3 -> Tracer.instant tr "lut_hit_l3"
-              | Memo_unit.Miss -> Tracer.instant tr "lut_miss")
-          | Ir.Memo (Ir.Invalidate _) -> Tracer.instant tr "lut_invalidate"
-          | _ -> ())
+              (* The lookup's memo hook has already run when its site
+                 fires, so [last_lookup_level] names the level that
+                 serviced it. *)
+              fun _addr ->
+                match Memo_unit.last_lookup_level unit with
+                | Memo_unit.Hit_l1 -> Tracer.instant tr "lut_hit_l1"
+                | Memo_unit.Hit_l2 -> Tracer.instant tr "lut_hit_l2"
+                | Memo_unit.Hit_l3 -> Tracer.instant tr "lut_hit_l3"
+                | Memo_unit.Miss -> Tracer.instant tr "lut_miss")
+          | Ir.Memo (Ir.Invalidate _) -> fun _addr -> Tracer.instant tr "lut_invalidate"
+          | _ -> ignore)
   in
   ( tr,
     {
       Interp.no_hooks with
       on_enter = (fun fname -> Tracer.begin_span tr fname);
       on_leave = (fun fname -> Tracer.end_span tr fname);
-      on_exec;
+      exec_site;
     } )
 
 (* Wall time covers the full simulation of the cell (model assembly,

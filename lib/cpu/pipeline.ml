@@ -219,24 +219,6 @@ let create ?metrics ?profile:prof ?(machine = Machine.hpi) ?lookup_level
     profile = prof;
   }
 
-(* Attribute [cyc] occupancy cycles to [cls]. Only meaningful with telemetry
-   attached; without it the site costs one pattern match. *)
-let attr t cls cyc =
-  match t.telem with
-  | Some tl ->
-      let i = class_index cls in
-      tl.class_cycles.(i) <- tl.class_cycles.(i) + cyc
-  | None -> ()
-
-let count t cls =
-  t.counts.(class_index cls) <- t.counts.(class_index cls) + 1;
-  match cls with
-  | C_memo_send | C_memo_lookup | C_memo_update | C_memo_invalidate | C_memo_branch ->
-      t.dyn_memo <- t.dyn_memo + 1
-  | C_ialu | C_imul | C_idiv | C_fp | C_fdiv_sqrt | C_ftrig | C_load | C_store
-  | C_branch | C_call_ret ->
-      t.dyn_normal <- t.dyn_normal + 1
-
 (* Issue one instruction no earlier than [ready]; returns the issue cycle,
    respecting in-order dual-issue. *)
 let[@inline] issue t ready =
@@ -269,28 +251,6 @@ let current_frame t =
   | f :: _ -> f
   | [] -> failwith "Pipeline: event outside any frame"
 
-let op_ready frame = function Ir.Reg r -> frame.ready.(r) | Ir.Imm _ -> 0
-
-let srcs_ready t instr =
-  let frame = current_frame t in
-  List.fold_left (fun acc r -> max acc frame.ready.(r)) 0 (Ir.instr_srcs instr)
-
-let complete t frame dsts at =
-  List.iter (fun r -> frame.ready.(r) <- at) dsts;
-  if at > t.horizon then t.horizon <- at
-
-(* Issue through a functional-unit pool. [busy] is the occupancy (1 for
-   pipelined units, [latency] for non-pipelined ones). *)
-let exec_fu t instr pool ~latency ~busy cls =
-  let frame = current_frame t in
-  let ready = srcs_ready t instr in
-  let u = pool_min pool in
-  let c = issue t (max ready pool.(u)) in
-  pool.(u) <- c + busy;
-  complete t frame (Ir.instr_dst instr) (c + latency);
-  count t cls;
-  attr t cls latency
-
 (* Sends to the CRC unit: the queue drains one byte per cycle; the core
    stalls only when the queue is full (Table 4). [avail] is when the bytes
    become available to the queue relative to the issue cycle. *)
@@ -302,178 +262,6 @@ let crc_send t ~issue_cycle ~bytes ~avail_delay =
 let crc_queue_constraint t ~bytes =
   (* Issue must wait until the projected backlog fits the queue. *)
   t.crc_done + bytes - Timing.input_queue_bytes
-
-let m t = t.machine
-
-let rec exec_instr t (instr : Ir.instr) addr =
-  match instr with
-  | Const _ | Mov _ | Select _ -> exec_fu t instr t.alu ~latency:(m t).lat_alu ~busy:1 C_ialu
-  | Binop { op; _ } -> (
-      match op with
-      | Mul -> exec_fu t instr t.mul ~latency:(m t).lat_mul ~busy:1 C_imul
-      | Div | Rem ->
-          exec_fu t instr t.div ~latency:(m t).lat_div ~busy:(m t).lat_div C_idiv
-      | Add | Sub | And | Or | Xor | Shl | Lshr | Ashr ->
-          exec_fu t instr t.alu ~latency:(m t).lat_alu ~busy:1 C_ialu)
-  | Fbinop { op; _ } -> (
-      match op with
-      | Fdiv -> exec_fu t instr t.fpu ~latency:(m t).lat_fdiv ~busy:(m t).lat_fdiv C_fdiv_sqrt
-      | Fadd | Fsub | Fmul -> exec_fu t instr t.fpu ~latency:(m t).lat_fp ~busy:1 C_fp)
-  | Funop { op; _ } -> (
-      match op with
-      | Fsqrt ->
-          exec_fu t instr t.fpu ~latency:(m t).lat_fsqrt ~busy:(m t).lat_fsqrt C_fdiv_sqrt
-      | Fsin | Fcos | Fexp | Flog ->
-          exec_fu t instr t.fpu ~latency:(m t).lat_ftrig ~busy:(m t).lat_ftrig C_ftrig
-      | Fneg | Fabs | Ffloor | Fround ->
-          exec_fu t instr t.fpu ~latency:(m t).lat_fp ~busy:1 C_fp)
-  | Icmp _ -> exec_fu t instr t.alu ~latency:(m t).lat_alu ~busy:1 C_ialu
-  | Fcmp _ -> exec_fu t instr t.fpu ~latency:(m t).lat_fp ~busy:1 C_fp
-  | Cast { op; _ } -> (
-      match op with
-      | I_to_f | F_to_i | F32_of_f64 | F64_of_f32 ->
-          exec_fu t instr t.fpu ~latency:(m t).lat_fp ~busy:1 C_fp
-      | Bits_of_f32 | F32_of_bits | Bits_of_f64 | F64_of_bits | Sext_32_64 | Trunc_64_32
-        ->
-          exec_fu t instr t.alu ~latency:(m t).lat_alu ~busy:1 C_ialu)
-  | Load _ ->
-      let frame = current_frame t in
-      let ready = srcs_ready t instr in
-      let u = pool_min t.lsu in
-      let c = issue t (max ready t.lsu.(u)) in
-      t.lsu.(u) <- c + 1;
-      let latency = Hierarchy.read t.hier ~addr in
-      complete t frame (Ir.instr_dst instr) (c + latency);
-      count t C_load;
-      attr t C_load latency
-  | Store _ ->
-      let ready = srcs_ready t instr in
-      let u = pool_min t.lsu in
-      let c = issue t (max ready t.lsu.(u)) in
-      let latency = Hierarchy.write t.hier ~addr in
-      t.lsu.(u) <- c + latency;
-      if c + latency > t.horizon then t.horizon <- c + latency;
-      count t C_store;
-      attr t C_store latency
-  | Call { args; dsts; _ } ->
-      (* The bl instruction: a branch-class issue slot. *)
-      let frame = current_frame t in
-      let ready =
-        Array.fold_left
-          (fun acc a -> max acc (op_ready frame a))
-          0 args
-      in
-      let c = issue t ready in
-      t.pending_args_ready <- max ready c;
-      t.pending_call <- Some (Array.copy dsts, frame.ready);
-      count t C_call_ret;
-      attr t C_call_ret 1
-  | Memo mi -> exec_memo t mi addr
-
-and exec_memo t (mi : Ir.memo_instr) addr =
-  match mi with
-  | Ld_crc { ty; _ } ->
-      let instr = Ir.Memo mi in
-      let frame = current_frame t in
-      let bytes = Ir.ty_size ty in
-      let ready = srcs_ready t instr in
-      let u = pool_min t.lsu in
-      let queue_ok = crc_queue_constraint t ~bytes in
-      let unconstrained = max ready t.lsu.(u) in
-      let c = issue t (max unconstrained queue_ok) in
-      if queue_ok > unconstrained then begin
-        let stall = queue_ok - unconstrained in
-        t.crc_stalls <- t.crc_stalls + stall;
-        match t.telem with
-        | Some tl -> Registry.sample tl.crc_stall_s ~at:c (float_of_int stall)
-        | None -> ()
-      end;
-      t.lsu.(u) <- c + 1;
-      let latency = Hierarchy.read t.hier ~addr in
-      complete t frame (Ir.instr_dst instr) (c + latency);
-      crc_send t ~issue_cycle:c ~bytes ~avail_delay:latency;
-      count t C_load;
-      attr t C_load latency
-  | Reg_crc { ty; _ } ->
-      let instr = Ir.Memo mi in
-      let bytes = Ir.ty_size ty in
-      let ready = srcs_ready t instr in
-      let queue_ok = crc_queue_constraint t ~bytes in
-      let c = issue t (max ready queue_ok) in
-      if queue_ok > ready then begin
-        let stall = max 0 (queue_ok - ready) in
-        t.crc_stalls <- t.crc_stalls + stall;
-        match t.telem with
-        | Some tl -> Registry.sample tl.crc_stall_s ~at:c (float_of_int stall)
-        | None -> ()
-      end;
-      crc_send t ~issue_cycle:c ~bytes ~avail_delay:1;
-      count t C_memo_send;
-      attr t C_memo_send 1
-  | Lookup _ ->
-      let instr = Ir.Memo mi in
-      let frame = current_frame t in
-      let ready = max (srcs_ready t instr) (max t.crc_done t.memo_port_free) in
-      let c = issue t ready in
-      let latency =
-        match t.lookup_level () with
-        | `L1 -> Timing.lookup_l1_cycles
-        | `L2 -> Timing.lookup_l1_cycles + Timing.lookup_l2_cycles
-        | `L3 ->
-            Timing.lookup_l1_cycles + Timing.lookup_l2_cycles
-            + t.l3_lookup_cycles ()
-        | `Miss ->
-            (if t.l2_lut_present then Timing.lookup_l1_cycles + Timing.lookup_l2_cycles
-             else Timing.lookup_l1_cycles)
-            + t.l3_lookup_cycles ()
-      in
-      t.memo_port_free <- c + latency;
-      complete t frame (Ir.instr_dst instr) (c + latency);
-      count t C_memo_lookup;
-      attr t C_memo_lookup latency
-  | Update _ ->
-      let instr = Ir.Memo mi in
-      let ready = max (srcs_ready t instr) t.memo_port_free in
-      let c = issue t ready in
-      t.memo_port_free <- c + Timing.update_cycles;
-      if c + Timing.update_cycles > t.horizon then t.horizon <- c + Timing.update_cycles;
-      count t C_memo_update;
-      attr t C_memo_update Timing.update_cycles
-  | Invalidate _ ->
-      let c = issue t t.memo_port_free in
-      let penalty = t.l1_lut_ways * Timing.invalidate_cycles_per_way in
-      t.memo_port_free <- c + penalty;
-      t.slot_cycle <- c + penalty;
-      t.slot_used <- 0;
-      count t C_memo_invalidate;
-      attr t C_memo_invalidate penalty
-
-let exec_term t (term : Ir.terminator) =
-  match term with
-  | Jmp _ ->
-      let _c = issue t t.slot_cycle in
-      count t C_branch;
-      attr t C_branch 1
-  | Br { cond; _ } ->
-      let frame = current_frame t in
-      let c = issue t (op_ready frame cond) in
-      ignore c;
-      count t C_branch;
-      attr t C_branch 1
-  | Br_memo _ ->
-      (* Consumes the lookup's condition code; readiness is already folded
-         into [memo_port_free]. *)
-      let c = issue t t.memo_port_free in
-      ignore c;
-      count t C_memo_branch;
-      attr t C_memo_branch 1
-  | Ret ops ->
-      let frame = current_frame t in
-      let ready = Array.fold_left (fun acc o -> max acc (op_ready frame o)) 0 ops in
-      let c = issue t ready in
-      t.last_ret_ready <- max ready c;
-      count t C_call_ret;
-      attr t C_call_ret 1
 
 let on_enter t fname =
   let nregs = try Hashtbl.find t.nregs_of fname with Not_found -> 64 in
@@ -495,12 +283,11 @@ let on_leave t _fname =
 let cycles t = max t.slot_cycle t.horizon
 
 (* ------------------------------------------------------------------ *)
-(* Site compilers for the compiled execution backend: everything static
-   about an instruction — source/destination register sets, class index,
+(* The timing model, as site compilers: everything static about an
+   instruction — source/destination register sets, class index,
    functional-unit pool, latency, occupancy — is resolved once per static
    site, so the per-execution closure touches no lists and matches no
-   constructors. Each closure must stay observationally identical to the
-   corresponding [exec_instr]/[exec_term] arm. *)
+   constructors. *)
 
 let is_memo_class = function
   | C_memo_send | C_memo_lookup | C_memo_update | C_memo_invalidate | C_memo_branch ->
@@ -518,8 +305,7 @@ let[@inline] attr_k t k cyc =
   | Some tl -> tl.class_cycles.(k) <- tl.class_cycles.(k) + cyc
   | None -> ()
 
-(* max-fold over a precomputed register array — the compiled twin of
-   [srcs_ready]'s list fold *)
+(* latest ready cycle over a precomputed register array (0 when empty) *)
 let[@inline] ready_of (frame : frame) (rs : int array) =
   let r = ref 0 in
   for i = 0 to Array.length rs - 1 do
@@ -572,40 +358,41 @@ let site_fu t instr pool ~latency ~busy cls =
 
 let exec_site t (_fname : string) (_bidx : int) (_iidx : int) (instr : Ir.instr) :
     int -> unit =
+  let mc = t.machine in
   match instr with
   | Const _ | Mov _ | Select _ ->
-      site_fu t instr t.alu ~latency:(m t).lat_alu ~busy:1 C_ialu
+      site_fu t instr t.alu ~latency:mc.lat_alu ~busy:1 C_ialu
   | Binop { op; _ } -> (
       match op with
-      | Mul -> site_fu t instr t.mul ~latency:(m t).lat_mul ~busy:1 C_imul
+      | Mul -> site_fu t instr t.mul ~latency:mc.lat_mul ~busy:1 C_imul
       | Div | Rem ->
-          site_fu t instr t.div ~latency:(m t).lat_div ~busy:(m t).lat_div C_idiv
+          site_fu t instr t.div ~latency:mc.lat_div ~busy:mc.lat_div C_idiv
       | Add | Sub | And | Or | Xor | Shl | Lshr | Ashr ->
-          site_fu t instr t.alu ~latency:(m t).lat_alu ~busy:1 C_ialu)
+          site_fu t instr t.alu ~latency:mc.lat_alu ~busy:1 C_ialu)
   | Fbinop { op; _ } -> (
       match op with
       | Fdiv ->
-          site_fu t instr t.fpu ~latency:(m t).lat_fdiv ~busy:(m t).lat_fdiv
+          site_fu t instr t.fpu ~latency:mc.lat_fdiv ~busy:mc.lat_fdiv
             C_fdiv_sqrt
-      | Fadd | Fsub | Fmul -> site_fu t instr t.fpu ~latency:(m t).lat_fp ~busy:1 C_fp)
+      | Fadd | Fsub | Fmul -> site_fu t instr t.fpu ~latency:mc.lat_fp ~busy:1 C_fp)
   | Funop { op; _ } -> (
       match op with
       | Fsqrt ->
-          site_fu t instr t.fpu ~latency:(m t).lat_fsqrt ~busy:(m t).lat_fsqrt
+          site_fu t instr t.fpu ~latency:mc.lat_fsqrt ~busy:mc.lat_fsqrt
             C_fdiv_sqrt
       | Fsin | Fcos | Fexp | Flog ->
-          site_fu t instr t.fpu ~latency:(m t).lat_ftrig ~busy:(m t).lat_ftrig C_ftrig
+          site_fu t instr t.fpu ~latency:mc.lat_ftrig ~busy:mc.lat_ftrig C_ftrig
       | Fneg | Fabs | Ffloor | Fround ->
-          site_fu t instr t.fpu ~latency:(m t).lat_fp ~busy:1 C_fp)
-  | Icmp _ -> site_fu t instr t.alu ~latency:(m t).lat_alu ~busy:1 C_ialu
-  | Fcmp _ -> site_fu t instr t.fpu ~latency:(m t).lat_fp ~busy:1 C_fp
+          site_fu t instr t.fpu ~latency:mc.lat_fp ~busy:1 C_fp)
+  | Icmp _ -> site_fu t instr t.alu ~latency:mc.lat_alu ~busy:1 C_ialu
+  | Fcmp _ -> site_fu t instr t.fpu ~latency:mc.lat_fp ~busy:1 C_fp
   | Cast { op; _ } -> (
       match op with
       | I_to_f | F_to_i | F32_of_f64 | F64_of_f32 ->
-          site_fu t instr t.fpu ~latency:(m t).lat_fp ~busy:1 C_fp
+          site_fu t instr t.fpu ~latency:mc.lat_fp ~busy:1 C_fp
       | Bits_of_f32 | F32_of_bits | Bits_of_f64 | F64_of_bits | Sext_32_64 | Trunc_64_32
         ->
-          site_fu t instr t.alu ~latency:(m t).lat_alu ~busy:1 C_ialu)
+          site_fu t instr t.alu ~latency:mc.lat_alu ~busy:1 C_ialu)
   | Load _ ->
       let srcs = srcs_arr instr in
       let dsts = dsts_arr instr in
@@ -634,6 +421,7 @@ let exec_site t (_fname : string) (_bidx : int) (_iidx : int) (instr : Ir.instr)
         count_k t k false;
         attr_k t k latency
   | Call { args; dsts; _ } ->
+      (* The bl instruction: a branch-class issue slot. *)
       let arg_regs = reg_operands args in
       let k = class_index C_call_ret in
       fun _addr ->
@@ -778,8 +566,8 @@ let term_site t (_fname : string) (_bidx : int) (term : Ir.terminator) : unit ->
         count_k t k false;
         attr_k t k 1
 
-(* Static classification, mirroring the class each [exec_instr] /
-   [exec_term] arm charges — used by the profiler to label work without
+(* Static classification, mirroring the class each [exec_site] /
+   [term_site] arm charges — used by the profiler to label work without
    touching the timing paths. *)
 let classify_instr : Ir.instr -> instr_class = function
   | Const _ | Mov _ | Select _ | Icmp _ -> C_ialu
@@ -833,7 +621,15 @@ let p_charge t p r k =
     p.p_last <- c
   end
 
+(* A profiled site runs the base site, then charges its (region, class)
+   cell. The class and a memo instruction's LUT region are static; any
+   other instruction belongs to the innermost frame's region, read per
+   execution. *)
 let profiled_hooks t p : Interp.hooks =
+  let charge r k =
+    p.p_counts.(r).(k) <- p.p_counts.(r).(k) + 1;
+    p_charge t p r k
+  in
   {
     Interp.on_enter =
       (fun fname ->
@@ -845,36 +641,25 @@ let profiled_hooks t p : Interp.hooks =
       (fun fname ->
         on_leave t fname;
         match p.p_stack with [] -> () | _ :: rest -> p.p_stack <- rest);
-    on_exec =
-      (fun _fname _bidx _iidx instr addr ->
-        exec_instr t instr addr;
-        let r =
-          match instr with
-          | Ir.Memo mi ->
-              let r = p.p_region_of_lut (memo_lut_of mi) in
-              if r < 0 then p_current p else r
-          | _ -> p_current p
-        in
+    exec_site =
+      (fun fname bidx iidx instr ->
+        let site = exec_site t fname bidx iidx instr in
         let k = class_index (classify_instr instr) in
-        p.p_counts.(r).(k) <- p.p_counts.(r).(k) + 1;
-        p_charge t p r k);
-    on_term =
-      (fun _fname _bidx term ->
-        exec_term t term;
-        let r = p_current p in
+        let lut_region =
+          match instr with Ir.Memo mi -> p.p_region_of_lut (memo_lut_of mi) | _ -> -1
+        in
+        fun addr ->
+          site addr;
+          charge (if lut_region < 0 then p_current p else lut_region) k);
+    term_site =
+      (fun fname bidx term ->
+        let site = term_site t fname bidx term in
         let k = class_index (classify_term term) in
-        p.p_counts.(r).(k) <- p.p_counts.(r).(k) + 1;
-        p_charge t p r k);
-    (* no site compilers: profiled runs keep the generic flat callbacks, so
-       the compiled backend falls back to [on_exec]/[on_term] and profile
-       attribution stays on one code path for both backends *)
-    exec_site = None;
-    term_site = None;
+        fun () ->
+          site ();
+          charge (p_current p) k);
   }
 
-(* With a profiler attached the callbacks additionally attribute each
-   instruction to its static region; without one they are exactly the
-   unprofiled closures. *)
 let hooks t : Interp.hooks =
   match t.profile with
   | Some p -> profiled_hooks t p
@@ -882,10 +667,8 @@ let hooks t : Interp.hooks =
       {
         Interp.on_enter = on_enter t;
         on_leave = on_leave t;
-        on_exec = (fun _fname _bidx _iidx instr addr -> exec_instr t instr addr);
-        on_term = (fun _fname _bidx term -> exec_term t term);
-        exec_site = Some (exec_site t);
-        term_site = Some (term_site t);
+        exec_site = exec_site t;
+        term_site = term_site t;
       }
 
 let profile_close t =

@@ -1,8 +1,9 @@
 (** In-order dual-issue timing model.
 
-    Observes execution through {!hooks}, in execution order, and charges cycles
-    according to the HPI-like {!Machine} configuration: issue-width-limited
-    in-order issue, scoreboarded operand readiness, functional-unit
+    Observes execution through the site compilers of {!hooks}, in execution
+    order, and charges cycles according to the HPI-like {!Machine}
+    configuration: issue-width-limited in-order issue, scoreboarded operand
+    readiness, functional-unit
     contention (non-pipelined dividers/sqrt), loads and stores through an
     {!Axmemo_cache.Hierarchy}, and the Table 4 latencies for the five AxMemo
     instructions, including the CRC input queue that can back-pressure the
@@ -115,10 +116,14 @@ val create :
     cycle-indexed series); cycle results are bit-identical either way. *)
 
 val hooks : t -> Axmemo_ir.Interp.hooks
-(** Pass as the interpreter's [hooks]. With a [?profile] collector
-    attached the callbacks also attribute every
-    instruction to its static region; without one they are exactly the
-    unprofiled closures. *)
+(** Pass as the interpreter's [hooks]. Its site compilers are the timing
+    model — its one implementation: each resolves everything static about
+    an instruction or terminator (register sets, class, unit pool,
+    latency, occupancy) once, and the closure it returns charges one
+    execution. With a [?profile] collector attached, each site also
+    charges its [(region, class)] cell; the class and a memo instruction's
+    LUT region are resolved with the site, the innermost frame's region
+    per execution. *)
 
 val profile_close : t -> unit
 (** Charge the cycles between the last retired instruction and the final

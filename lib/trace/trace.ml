@@ -130,39 +130,38 @@ let push_entry t e =
 
 let define t r id = Hashtbl.replace (current t).vals r id
 
-let record t fname bidx iidx (instr : Ir.instr) addr =
-  if t.full then ()
-  else begin
-    let sid = static_id t fname bidx iidx in
-    let weight = weight_of_instr t.machine instr in
-    let src_ids =
-      List.filter_map (fun o -> producer_of_operand t o)
-        (List.map (fun r -> Ir.Reg r) (Ir.instr_srcs instr))
-    in
-    let srcs, is_load, is_store =
-      match instr with
-      | Load _ | Memo (Ld_crc _) ->
-          let mem_src =
-            match Hashtbl.find_opt t.mem_writer addr with
-            | Some id -> id
-            | None ->
-                let e = fresh_ext t in
-                Hashtbl.replace t.mem_writer addr e;
-                e
-          in
-          (Array.of_list (mem_src :: src_ids), true, false)
-      | Store _ -> (Array.of_list src_ids, false, true)
-      | _ -> (Array.of_list src_ids, false, false)
-    in
-    let id = t.count in
-    push_entry t { static_id = sid; weight; srcs; is_load; is_store };
+(* The producer of a load's memory operand: the in-trace store that last
+   wrote [addr], else a fresh external input. *)
+let mem_producer t addr =
+  match Hashtbl.find_opt t.mem_writer addr with
+  | Some id -> id
+  | None ->
+      let e = fresh_ext t in
+      Hashtbl.replace t.mem_writer addr e;
+      e
+
+(* The site of one non-call instruction: its weight, registers and memory
+   kind are static; the static id is assigned on the site's first recorded
+   execution, so ids follow first-execution order. *)
+let record_site t fname bidx iidx (instr : Ir.instr) =
+  let weight = weight_of_instr t.machine instr in
+  let src_regs = Ir.instr_srcs instr in
+  let dsts = Ir.instr_dst instr in
+  let is_load = match instr with Load _ | Memo (Ld_crc _) -> true | _ -> false in
+  let is_store = match instr with Store _ -> true | _ -> false in
+  let sid = ref (-1) in
+  fun addr ->
     if not t.full then begin
-      (match instr with
-      | Store _ -> Hashtbl.replace t.mem_writer addr id
-      | _ -> ());
-      List.iter (fun r -> define t r id) (Ir.instr_dst instr)
+      if !sid < 0 then sid := static_id t fname bidx iidx;
+      let src_ids = List.map (producer_of_reg t) src_regs in
+      let srcs = Array.of_list (if is_load then mem_producer t addr :: src_ids else src_ids) in
+      let id = t.count in
+      push_entry t { static_id = !sid; weight; srcs; is_load; is_store };
+      if not t.full then begin
+        if is_store then Hashtbl.replace t.mem_writer addr id;
+        List.iter (fun r -> define t r id) dsts
+      end
     end
-  end
 
 let on_enter t fname =
   let params =
@@ -199,37 +198,36 @@ let on_leave t _fname =
             dsts
       | _ -> ())
 
-let on_exec t fname bidx iidx (instr : Ir.instr) addr =
+let exec_site t fname bidx iidx (instr : Ir.instr) : int -> unit =
   match instr with
   | Call { dsts; args; _ } ->
       (* No vertex: the call is inlined into the trace; remember the
          argument producers for parameter binding at Enter. *)
-      t.pending_args <-
-        Array.map
-          (fun o ->
-            match producer_of_operand t o with Some id -> id | None -> fresh_ext t)
-          args;
-      t.pending_dsts <- Some dsts
-  | _ -> record t fname bidx iidx instr addr
+      fun _addr ->
+        t.pending_args <-
+          Array.map
+            (fun o ->
+              match producer_of_operand t o with Some id -> id | None -> fresh_ext t)
+            args;
+        t.pending_dsts <- Some dsts
+  | _ -> record_site t fname bidx iidx instr
 
-let on_term t _fname _bidx (term : Ir.terminator) =
+let term_site t _fname _bidx (term : Ir.terminator) : unit -> unit =
   match term with
   | Ret ops ->
-      t.last_ret <-
-        Array.map
-          (fun o -> match producer_of_operand t o with Some id -> id | None -> fresh_ext t)
-          ops
-  | Jmp _ | Br _ | Br_memo _ -> ()
+      fun () ->
+        t.last_ret <-
+          Array.map
+            (fun o -> match producer_of_operand t o with Some id -> id | None -> fresh_ext t)
+            ops
+  | Jmp _ | Br _ | Br_memo _ -> ignore
 
 let hooks t : Interp.hooks =
   {
     Interp.on_enter = on_enter t;
     on_leave = on_leave t;
-    on_exec = on_exec t;
-    on_term = on_term t;
-    (* the tracer resolves producers dynamically; nothing to precompute *)
-    exec_site = None;
-    term_site = None;
+    exec_site = exec_site t;
+    term_site = term_site t;
   }
 
 let entries t = Array.sub t.buf 0 t.count

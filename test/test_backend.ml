@@ -92,15 +92,24 @@ type event =
   | Exec of string * int * int * Ir.instr * int
   | Term of string * int * Ir.terminator
 
-let recording events =
+(* A static site: instruction [iidx] of block [bidx], or its terminator. *)
+type site = Instr of string * int * int | Terminator of string * int
+
+(* Records every executed event in order and, in [compiled], every site
+   compilation. *)
+let recording ?(compiled = ref []) events =
   let push e = events := e :: !events in
   {
     Interp.on_enter = (fun f -> push (Enter f));
     on_leave = (fun f -> push (Leave f));
-    on_exec = (fun f bidx iidx instr addr -> push (Exec (f, bidx, iidx, instr, addr)));
-    on_term = (fun f bidx term -> push (Term (f, bidx, term)));
-    exec_site = None;
-    term_site = None;
+    exec_site =
+      (fun f bidx iidx instr ->
+        compiled := Instr (f, bidx, iidx) :: !compiled;
+        fun addr -> push (Exec (f, bidx, iidx, instr, addr)));
+    term_site =
+      (fun f bidx term ->
+        compiled := Terminator (f, bidx) :: !compiled;
+        fun () -> push (Term (f, bidx, term)));
   }
 
 (* One backend's view of a run: results, step count, full event trace. *)
@@ -117,6 +126,45 @@ let prop_backends_agree =
     (fun (seed, arg) ->
       let program = build_program seed in
       observe `Compiled program arg = observe `Interp program arg)
+
+(* ---- site resolution ---------------------------------------------------
+
+   Both backends compile every hook site at [create], exactly once per
+   static instruction and terminator, and running compiles nothing more —
+   also through [combine_hooks], which must resolve each side once. *)
+
+let static_sites (program : Ir.program) =
+  Array.to_list program.funcs
+  |> List.concat_map (fun (f : Ir.func) ->
+         Array.to_list f.blocks
+         |> List.mapi (fun bidx (b : Ir.block) ->
+                Terminator (f.fname, bidx)
+                :: List.init (Array.length b.instrs) (fun iidx -> Instr (f.fname, bidx, iidx)))
+         |> List.concat)
+  |> List.sort compare
+
+let prop_sites_resolved_once =
+  QCheck.Test.make ~name:"each site compiled once, at create" ~count:40
+    QCheck.(pair int64 (int_bound 10_000))
+    (fun (seed, arg) ->
+      let program = build_program seed in
+      let expected = static_sites program in
+      List.for_all
+        (fun backend ->
+          let first = ref [] and second = ref [] and events = ref [] in
+          let hooks =
+            Interp.combine_hooks
+              (recording ~compiled:first events)
+              (recording ~compiled:second (ref []))
+          in
+          let i = Interp.create ~backend ~hooks ~program ~mem:(Memory.create ()) () in
+          let at_create = (List.sort compare !first, List.sort compare !second) in
+          ignore (Interp.run i "main" [| Ir.VI (Int64.of_int arg) |]);
+          at_create = (expected, expected)
+          && List.length !first = List.length expected
+          && List.length !second = List.length expected
+          && !events <> [])
+        [ `Compiled; `Interp ])
 
 (* ---- failure parity ---------------------------------------------------- *)
 
@@ -214,6 +262,7 @@ let () =
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest prop_backends_agree;
+          QCheck_alcotest.to_alcotest prop_sites_resolved_once;
           Alcotest.test_case "division-by-zero parity" `Quick test_division_by_zero_parity;
           Alcotest.test_case "step-limit parity" `Quick test_step_limit_parity;
         ] );
