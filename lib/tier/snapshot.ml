@@ -141,6 +141,9 @@ let of_bytes s =
             let nlen = u16 () in
             let name = str nlen in
             let nent = u32 () in
+            (* a count is only believed once its 20-byte entries fit before
+               the trailer: the allocation below is sized by it *)
+            if nent > (String.length s - 4 - !pos) / 20 then raise Truncated;
             let entries =
               Array.init nent (fun _ ->
                   let lut_id = u32 () in

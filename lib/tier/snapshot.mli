@@ -45,7 +45,11 @@ val restore_dram_batched : section -> Dram_lut.t -> int * int * int
     cost vs what an in-order replay would have cost. *)
 
 val to_bytes : t -> string
+
 val of_bytes : string -> (t, string) result
+(** Decodes and validates a snapshot image. Memory is bounded by the input:
+    a section's entry count is believed only if that many 20-byte entries
+    fit before the CRC trailer, otherwise the file is truncated. *)
 
 val save : t -> string -> unit
 (** @raise Sys_error if the path cannot be written. *)

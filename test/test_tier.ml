@@ -335,6 +335,37 @@ let test_snapshot_rejection () =
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error msg -> Alcotest.(check bool) "missing file error" true (String.length msg > 0)
 
+(* A well-formed header and a valid CRC-32 trailer around one section whose
+   entry count claims far more entries than the file holds: the trailer is
+   an integrity check, not authentication, so anyone can write one. The
+   decoder must reject the count before allocating for it. *)
+let test_snapshot_claimed_count_bounded () =
+  let b = Buffer.create 64 in
+  Buffer.add_string b "AXMEMOSN";
+  Buffer.add_int32_le b 1l;
+  Buffer.add_int32_le b 1l;
+  Buffer.add_uint16_le b 2;
+  Buffer.add_string b "l2";
+  Buffer.add_int32_le b 1_000_000l;
+  (* one real entry: lut_id, key, payload *)
+  Buffer.add_int32_le b 0l;
+  Buffer.add_int64_le b 7L;
+  Buffer.add_int64_le b 9L;
+  let body = Buffer.contents b in
+  let crc = Axmemo_crc.Engine.digest_string Axmemo_crc.Poly.crc32 body in
+  Buffer.add_int32_le b (Int64.to_int32 crc);
+  let bytes = Buffer.contents b in
+  Alcotest.(check int) "48-byte file" 48 (String.length bytes);
+  let before = Gc.allocated_bytes () in
+  let r = Snapshot.of_bytes bytes in
+  let allocated = Gc.allocated_bytes () -. before in
+  (match r with
+  | Ok _ -> Alcotest.fail "over-claimed snapshot accepted"
+  | Error msg -> Alcotest.(check string) "error" "truncated snapshot file" msg);
+  Alcotest.(check bool)
+    (Printf.sprintf "allocates under 1 MB (%.0f bytes)" allocated)
+    true (allocated < 1e6)
+
 let test_snapshot_file_roundtrip () =
   let snap = sample_snapshot () in
   let file = Filename.temp_file "axmemo_test" ".axs" in
@@ -492,6 +523,8 @@ let () =
         [
           Alcotest.test_case "file roundtrip" `Quick test_snapshot_file_roundtrip;
           Alcotest.test_case "damaged files rejected" `Quick test_snapshot_rejection;
+          Alcotest.test_case "claimed entry count bounded" `Quick
+            test_snapshot_claimed_count_bounded;
         ] );
       ( "cluster",
         [
