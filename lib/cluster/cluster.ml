@@ -417,8 +417,7 @@ let create ?(metrics = false) ?(profile = false) (cfg : config) =
       gcores;
       nodes;
       net_arb =
-        Arbiter.create ~banks:cfg.nodes ~ports:cfg.net_ports
-          ~window:cfg.net_msg_cycles ();
+        Arbiter.create ~banks:cfg.nodes ~ports:cfg.net_ports ~window:cfg.net_msg_cycles;
       sharers = Hashtbl.create 16;
       replicas = Hashtbl.create 256;
       hot = Hashtbl.create 256;

@@ -24,7 +24,7 @@ type t = {
   mutable seq : int;  (* global log order, the final tie-breaker *)
 }
 
-let create ?(banks = 8) ?(ports = 1) ~window () =
+let create ~banks ~ports ~window =
   if banks < 1 || ports < 1 || window < 1 then
     invalid_arg "Arbiter.create: banks, ports and window must be positive";
   { banks; ports; window; bins = Hashtbl.create 256; seq = 0 }
@@ -33,7 +33,7 @@ let banks t = t.banks
 let ports t = t.ports
 let window t = t.window
 
-let record ?(tag = -1) t ~core ~set ~at =
+let record ~tag t ~core ~set ~at =
   let bank = set mod t.banks in
   let slot = at / t.window in
   let key = (bank, slot) in

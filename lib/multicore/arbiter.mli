@@ -11,17 +11,17 @@
 
 type t
 
-val create : ?banks:int -> ?ports:int -> window:int -> unit -> t
-(** Defaults: 8 banks, 1 port per bank. [window] is the service latency of
+val create : banks:int -> ports:int -> window:int -> t
+(** [banks] banks of [ports] ports each. [window] is the service latency of
     one probe (the L2 LUT lookup latency in the co-run model).
     @raise Invalid_argument on non-positive parameters. *)
 
-val record : ?tag:int -> t -> core:int -> set:int -> at:int -> unit
+val record : tag:int -> t -> core:int -> set:int -> at:int -> unit
 (** Log one access to the bank holding [set], issued by [core] at absolute
-    cycle [at]. [?tag] (default [-1] = untagged) rides along unchanged —
-    the co-run passes the logical LUT id so settled stalls can be
-    attributed back to a memoization region; it never affects arbitration
-    (ties break on cycle, core, log order before the tag is reachable). *)
+    cycle [at]. [tag] rides along unchanged — the co-run passes the logical
+    LUT id so settled stalls can be attributed back to a memoization
+    region; it never affects arbitration (ties break on cycle, core, log
+    order before the tag is reachable). *)
 
 type settlement = {
   accesses : int;  (** everything recorded *)

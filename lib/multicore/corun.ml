@@ -179,7 +179,7 @@ let create_cluster ?(metrics = false) ?(profile = false) ?mix ?l2_port ?on_inval
       ~size_bytes:cfg.shared_l2_bytes ~partition:cfg.partition ()
   in
   let arbiter =
-    Arbiter.create ~banks:cfg.banks ~ports:cfg.ports ~window:Timing.lookup_l2_cycles ()
+    Arbiter.create ~banks:cfg.banks ~ports:cfg.ports ~window:Timing.lookup_l2_cycles
   in
   (* A shared-level eviction drops the key for every core at once, so the
      residency event is broadcast to each collector. *)

@@ -25,15 +25,15 @@ module Crc = Axmemo_crc
 (* --- arbiter --- *)
 
 let test_arbiter_contention () =
-  let a = Arbiter.create ~banks:4 ~ports:1 ~window:13 () in
+  let a = Arbiter.create ~banks:4 ~ports:1 ~window:13 in
   (* Two cores hit the same bank inside one service window: the later one
      (by cycle) loses and is charged a full window. *)
-  Arbiter.record a ~core:0 ~set:0 ~at:5;
-  Arbiter.record a ~core:1 ~set:4 ~at:7;
+  Arbiter.record ~tag:(-1) a ~core:0 ~set:0 ~at:5;
+  Arbiter.record ~tag:(-1) a ~core:1 ~set:4 ~at:7;
   (* Different bank, same window: no conflict. *)
-  Arbiter.record a ~core:1 ~set:1 ~at:6;
+  Arbiter.record ~tag:(-1) a ~core:1 ~set:1 ~at:6;
   (* Same bank, later window: no conflict. *)
-  Arbiter.record a ~core:0 ~set:0 ~at:20;
+  Arbiter.record ~tag:(-1) a ~core:0 ~set:0 ~at:20;
   let s = Arbiter.settle a ~ncores:2 in
   Alcotest.(check int) "accesses" 4 s.Arbiter.accesses;
   Alcotest.(check int) "contended" 1 s.Arbiter.contended;
@@ -42,18 +42,18 @@ let test_arbiter_contention () =
 
 let test_arbiter_tie_breaks () =
   (* Same cycle, same bank: the lower core index wins arbitration. *)
-  let a = Arbiter.create ~banks:2 ~ports:1 ~window:10 () in
-  Arbiter.record a ~core:1 ~set:0 ~at:3;
-  Arbiter.record a ~core:0 ~set:2 ~at:3;
+  let a = Arbiter.create ~banks:2 ~ports:1 ~window:10 in
+  Arbiter.record ~tag:(-1) a ~core:1 ~set:0 ~at:3;
+  Arbiter.record ~tag:(-1) a ~core:0 ~set:2 ~at:3;
   let s = Arbiter.settle a ~ncores:2 in
   Alcotest.(check (array int)) "core 1 loses" [| 0; 10 |] s.Arbiter.stall_cycles
 
 let test_arbiter_ports () =
   (* Two ports serve two colliding accesses; only the third is charged. *)
-  let a = Arbiter.create ~banks:1 ~ports:2 ~window:8 () in
-  Arbiter.record a ~core:0 ~set:0 ~at:0;
-  Arbiter.record a ~core:1 ~set:0 ~at:1;
-  Arbiter.record a ~core:2 ~set:0 ~at:2;
+  let a = Arbiter.create ~banks:1 ~ports:2 ~window:8 in
+  Arbiter.record ~tag:(-1) a ~core:0 ~set:0 ~at:0;
+  Arbiter.record ~tag:(-1) a ~core:1 ~set:0 ~at:1;
+  Arbiter.record ~tag:(-1) a ~core:2 ~set:0 ~at:2;
   let s = Arbiter.settle a ~ncores:3 in
   Alcotest.(check int) "contended" 1 s.Arbiter.contended;
   Alcotest.(check (array int)) "stalls" [| 0; 0; 8 |] s.Arbiter.stall_cycles
