@@ -34,9 +34,12 @@ let carve_l2 c ~lut_bytes =
 
 module Registry = Axmemo_telemetry.Registry
 
-(* Telemetry attachment: a live read-latency histogram (one bucket per
-   service level) plus end-of-run mirrors of both caches' stats. Purely
-   observational — latencies returned are bit-identical either way. *)
+(* Telemetry attachment: a read-latency histogram (one bucket per service
+   level) plus end-of-run mirrors of both caches' stats. Reads are counted
+   per service level in [reads] and folded into the histogram by
+   [flush_metrics]; latencies are integers, so the folded sum is exact.
+   Purely observational — latencies returned are bit-identical either
+   way. *)
 type level_counters = {
   accesses_c : Registry.counter;
   hits_c : Registry.counter;
@@ -47,6 +50,7 @@ type level_counters = {
 
 type telem = {
   read_lat : Registry.histogram;
+  reads : int array;  (* reads served per level (L1, L2, DRAM) since the last flush *)
   l1_c : level_counters;
   l2_c : level_counters;
 }
@@ -70,16 +74,18 @@ let flush_level (c : level_counters) (s : Sa_cache.stats) =
 
 type t = { cfg : config; l1 : Sa_cache.t; l2 : Sa_cache.t; telem : telem option }
 
+(* Load latency of each service level: L1 hit, L2 hit, DRAM. *)
+let level_latency cfg = function
+  | 0 -> cfg.l1_latency
+  | 1 -> cfg.l1_latency + cfg.l2_latency
+  | _ -> cfg.l1_latency + cfg.l2_latency + cfg.dram_latency
+
 let make_telem cfg reg =
   {
     read_lat =
       Registry.histogram reg "cache.read_latency"
-        ~bounds:
-          [|
-            float_of_int cfg.l1_latency;
-            float_of_int (cfg.l1_latency + cfg.l2_latency);
-            float_of_int (cfg.l1_latency + cfg.l2_latency + cfg.dram_latency);
-          |];
+        ~bounds:(Array.init 3 (fun level -> float_of_int (level_latency cfg level)));
+    reads = Array.make 3 0;
     l1_c = make_level_counters reg "cache.l1";
     l2_c = make_level_counters reg "cache.l2";
   }
@@ -111,22 +117,16 @@ let prefetch t addr =
   done
 
 let read t ~addr =
-  let latency =
+  let level =
     match Sa_cache.access t.l1 ~addr ~write:false with
-    | `Hit -> t.cfg.l1_latency
+    | `Hit -> 0
     | `Miss -> (
-        match Sa_cache.access t.l2 ~addr ~write:false with
-        | `Hit ->
-            prefetch t addr;
-            t.cfg.l1_latency + t.cfg.l2_latency
-        | `Miss ->
-            prefetch t addr;
-            t.cfg.l1_latency + t.cfg.l2_latency + t.cfg.dram_latency)
+        let l2 = Sa_cache.access t.l2 ~addr ~write:false in
+        prefetch t addr;
+        match l2 with `Hit -> 1 | `Miss -> 2)
   in
-  (match t.telem with
-  | Some tl -> Registry.observe tl.read_lat (float_of_int latency)
-  | None -> ());
-  latency
+  (match t.telem with Some tl -> tl.reads.(level) <- tl.reads.(level) + 1 | None -> ());
+  level_latency t.cfg level
 
 let write t ~addr =
   (* Write-allocate: bring the line in on a miss, but the core only sees the
@@ -147,5 +147,12 @@ let flush_metrics t =
   match t.telem with
   | None -> ()
   | Some tl ->
+      Array.iteri
+        (fun level n ->
+          if n > 0 then begin
+            Registry.observe_n tl.read_lat (float_of_int (level_latency t.cfg level)) n;
+            tl.reads.(level) <- 0
+          end)
+        tl.reads;
       flush_level tl.l1_c (Sa_cache.stats t.l1);
       flush_level tl.l2_c (Sa_cache.stats t.l2)

@@ -29,10 +29,12 @@ val carve_l2 : config -> lut_bytes:int -> config
 type t
 
 val create : ?metrics:Axmemo_telemetry.Registry.t -> config -> t
-(** With [?metrics], registers instruments under [cache.*]: a live
+(** With [?metrics], registers instruments under [cache.*]: a
     [cache.read_latency] histogram (one bucket per service level —
-    L1 hit, L2 hit, DRAM) and end-of-run stat mirrors written by
-    {!flush_metrics}. Latency results are bit-identical either way. *)
+    L1 hit, L2 hit, DRAM) and stat mirrors, all written by
+    {!flush_metrics}: a read only counts its service level, so a snapshot
+    taken before the flush misses the reads since the last one. Latency
+    results are bit-identical either way. *)
 
 val config : t -> config
 
@@ -50,6 +52,9 @@ val l2 : t -> Sa_cache.t
 val reset_stats : t -> unit
 
 val flush_metrics : t -> unit
-(** Mirror both caches' {!Sa_cache.stats} into the attached registry
+(** Fold the reads counted since the last flush into
+    [cache.read_latency] (exact: latencies are integers) and mirror both
+    caches' {!Sa_cache.stats} into the attached registry
     ([cache.l1.accesses], [cache.l1.hits], ... [cache.l2.writes]). Call
-    once, when the run ends. No-op without an attached registry. *)
+    when the run ends; a second flush adds no reads. No-op without an
+    attached registry. *)

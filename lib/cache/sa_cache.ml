@@ -61,19 +61,19 @@ let touch t set w =
 
 (* Lowest-indexed invalid way if any, else least recently used (ties to the
    lowest index). Single pass: this runs on every miss, and the wide L2 makes
-   a multi-pass scan measurable on LUT-heavy workloads. *)
+   a multi-pass scan measurable on LUT-heavy workloads. A loop, not a local
+   recursive function, so a miss allocates no closure. *)
 let victim_way t set =
   let base = set * t.nways in
-  let rec scan w best =
-    if w >= t.nways then best
-    else if Array.unsafe_get t.tags (base + w) = -1 then w
-    else
-      scan (w + 1)
-        (if Array.unsafe_get t.lru (base + w) < Array.unsafe_get t.lru (base + best)
-         then w
-         else best)
-  in
-  if Array.unsafe_get t.tags base = -1 then 0 else scan 1 0
+  let best = ref 0 and invalid = ref (if Array.unsafe_get t.tags base = -1 then 0 else -1) in
+  let w = ref 1 in
+  while !invalid < 0 && !w < t.nways do
+    let i = base + !w in
+    if Array.unsafe_get t.tags i = -1 then invalid := !w
+    else if Array.unsafe_get t.lru i < Array.unsafe_get t.lru (base + !best) then best := !w;
+    incr w
+  done;
+  if !invalid >= 0 then !invalid else !best
 
 (* Allocation-free way lookup for the access hot path: the way index, or -1
    when the tag is absent. *)

@@ -100,7 +100,7 @@ let shard_of_key ~nodes key =
    distance keeps per-message cost a pure function of (src, dst). *)
 let ring_hops ~nodes a b =
   let d = abs (a - b) in
-  min d (nodes - d)
+  Int.min d (nodes - d)
 
 (* ---- the cluster ------------------------------------------------------- *)
 

@@ -78,15 +78,25 @@ type cfunc = { fn : Ir.func; cblocks : cblock array }
 
 type backend = [ `Interp | `Compiled ]
 
+(* A register frame of the compiled backend: a function's [nregs] registers
+   followed by its constant slots, one per immediate operand. Slot [s] keeps
+   its integer at bytes [8s..8s+7] of [iv], its float at [fv.(s)] and its
+   kind at byte [s] of [kd] (['\000'] integer, ['\001'] float); only the
+   plane its kind names is meaningful. Kinds stay dynamic because
+   [Ir.validate] does not type registers. *)
+type frame = { iv : Bytes.t; kd : Bytes.t; fv : float array }
+
 (* A function lowered to closure chains: [k_body.(b)] executes block [b]
-   (instructions, hook sites, terminator) and returns the next block index,
-   or -1 on return, leaving the results in [k_ret]. Register frames come
-   from a depth-indexed arena so steady-state execution allocates nothing. *)
+   (instructions, hook sites, terminator) on a frame and returns the next
+   block index, or -1 on return, leaving the results in slots [0..] of
+   [k_ret]. Frames come from a depth-indexed arena, so steady-state
+   execution allocates nothing. *)
 type ker = {
   k_fn : Ir.func;
-  k_body : (Ir.value array -> int) array;
-  k_ret : Ir.value array;
-  mutable k_pool : Ir.value array array;
+  k_body : (frame -> int) array;
+  k_ret : frame;
+  mutable k_tmpl : frame;  (* a fresh frame: registers [VI 0L], constants set *)
+  mutable k_pool : frame array;
   mutable k_pool_len : int;  (* valid prefix of [k_pool] *)
   mutable k_depth : int;
 }
@@ -139,8 +149,8 @@ let compile_func (hooks : hooks option) (f : Ir.func) =
 
 let steps t = t.nsteps
 
-let sext32 v = Int64.shift_right (Int64.shift_left v 32) 32
-let round_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
+let[@inline] sext32 v = Int64.shift_right (Int64.shift_left v 32) 32
+let[@inline] round_f32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
 let vi = function Ir.VI v -> v | Ir.VF _ -> failwith "Interp: expected integer value"
 let vf = function Ir.VF v -> v | Ir.VI _ -> failwith "Interp: expected float value"
@@ -327,170 +337,414 @@ let exec_simple t regs (instr : Ir.instr) : int =
 
 (* ------------------------------------------------------------------ *)
 (* Compiled backend: each basic block becomes a chain of closures built at
-   [create]. Operands are resolved to array slots, callees and branch
-   targets to compiled-block references, and hook sites are specialized per
-   static instruction — the same specialization the interpreter loop does on
-   hook presence, pushed from run time to compile time. Dispatch is one
-   indirect call per block instead of a match per instruction. *)
+   [create]. Operands are resolved to frame slots (an immediate to its
+   constant slot), callees and branch targets to compiled-block references,
+   and hook sites are specialized per static instruction — the same
+   specialization the interpreter loop does on hook presence, pushed from
+   run time to compile time. Dispatch is one indirect call per block
+   instead of a match per instruction, and a closure reads and writes
+   unboxed slots: the only [Ir.value] built per execution is the one a memo
+   send hands over. Every arm stays bit-identical to its [eval_*] /
+   [exec_simple] twin, including failure messages and which failure comes
+   first. *)
 
-let vzero = Ir.VI 0L
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let getter = function
-  | Ir.Reg r -> fun (regs : Ir.value array) -> regs.(r)
-  | Ir.Imm v -> fun _ -> v
+(* A slot's kind byte; a zeroed frame holds [VI 0L] in every slot. *)
+let int_kind = '\000'
+let float_kind = '\001'
+
+let[@inline] rd_i fr s =
+  if Bytes.unsafe_get fr.kd s <> int_kind then failwith "Interp: expected integer value";
+  get64u fr.iv (s lsl 3)
+
+let[@inline] rd_f fr s =
+  if Bytes.unsafe_get fr.kd s <> float_kind then failwith "Interp: expected float value";
+  Array.unsafe_get fr.fv s
+
+let[@inline] wr_i fr s x =
+  set64u fr.iv (s lsl 3) x;
+  Bytes.unsafe_set fr.kd s int_kind
+
+let[@inline] wr_f fr s x =
+  Array.unsafe_set fr.fv s x;
+  Bytes.unsafe_set fr.kd s float_kind
+
+(* Slot-to-slot copy of the kind and both planes, with no branch on the
+   kind: moves, selects, arguments and results. *)
+let[@inline] copy_slot src s dst d =
+  set64u dst.iv (d lsl 3) (get64u src.iv (s lsl 3));
+  Array.unsafe_set dst.fv d (Array.unsafe_get src.fv s);
+  Bytes.unsafe_set dst.kd d (Bytes.unsafe_get src.kd s)
+
+(* The boxed view of a slot, for [run]'s arguments and results, memo sends
+   and the out-of-range fallback. *)
+let read_value fr s =
+  if Bytes.get fr.kd s = int_kind then Ir.VI (get64u fr.iv (s lsl 3)) else Ir.VF fr.fv.(s)
+
+let write_value fr s (v : Ir.value) = match v with VI x -> wr_i fr s x | VF x -> wr_f fr s x
+
+let make_frame n =
+  { iv = Bytes.make (8 * n) '\000'; kd = Bytes.make n int_kind; fv = Array.make n 0.0 }
+
+let no_frame = make_frame 0
+
+(* Per-function compile state. Constant slots are handed out past the
+   registers as immediates are met, in the one pass that compiles the
+   function; a repeated immediate gets a slot per occurrence. *)
+type layout = { nregs : int; mutable nslots : int; mutable consts : (int * Ir.value) list }
+
+(* Raised while compiling a site that names a register outside
+   [0, nregs): slot access is unchecked, so the site is compiled to fail
+   where a boxed access would. *)
+exception Out_of_bounds
+
+let in_range lay r = 0 <= r && r < lay.nregs
+let reg lay r = if in_range lay r then r else raise Out_of_bounds
+
+let slot lay = function
+  | Ir.Reg r -> reg lay r
+  | Ir.Imm v ->
+      let s = lay.nslots in
+      lay.nslots <- s + 1;
+      lay.consts <- (s, v) :: lay.consts;
+      s
+
+(* A fresh frame: registers [VI 0L], constant slots set. *)
+let template lay =
+  let fr = make_frame lay.nslots in
+  List.iter (fun (s, v) -> write_value fr s v) lay.consts;
+  fr
 
 (* Compile-time specialization of the scalar evaluators: the opcode match
-   and the width test move from every execution to [create]. Every arm must
-   stay bit-identical to its [eval_*] twin, including operand evaluation
-   order and failure messages. *)
+   and the width test move from every execution to [create]. *)
 
-let compile_binop (op : Ir.binop) (ty : Ir.ty) : Ir.value -> Ir.value -> Ir.value =
+let[@inline] wr_w is32 fr d w = wr_i fr d (if is32 then sext32 w else w)
+let[@inline] wr_r is32 fr d r = wr_f fr d (if is32 then round_f32 r else r)
+
+let compile_binop (op : Ir.binop) (ty : Ir.ty) d a b : frame -> int =
   let is32 = match ty with Ir.I32 -> true | Ir.I64 | Ir.F32 | Ir.F64 -> false in
-  let[@inline] fin w = Ir.VI (if is32 then sext32 w else w) in
   let smask = if is32 then 31 else 63 in
   match op with
-  | Add -> fun a b -> fin (Int64.add (vi a) (vi b))
-  | Sub -> fun a b -> fin (Int64.sub (vi a) (vi b))
-  | Mul -> fun a b -> fin (Int64.mul (vi a) (vi b))
+  | Add ->
+      fun fr ->
+        wr_w is32 fr d (Int64.add (rd_i fr a) (rd_i fr b));
+        -1
+  | Sub ->
+      fun fr ->
+        wr_w is32 fr d (Int64.sub (rd_i fr a) (rd_i fr b));
+        -1
+  | Mul ->
+      fun fr ->
+        wr_w is32 fr d (Int64.mul (rd_i fr a) (rd_i fr b));
+        -1
   | Div ->
-      fun a b ->
-        let a = vi a in
-        let b = vi b in
-        if b = 0L then failwith "Interp: division by zero" else fin (Int64.div a b)
+      fun fr ->
+        let x = rd_i fr a in
+        let y = rd_i fr b in
+        if y = 0L then failwith "Interp: division by zero";
+        wr_w is32 fr d (Int64.div x y);
+        -1
   | Rem ->
-      fun a b ->
-        let a = vi a in
-        let b = vi b in
-        if b = 0L then failwith "Interp: division by zero" else fin (Int64.rem a b)
-  | And -> fun a b -> fin (Int64.logand (vi a) (vi b))
-  | Or -> fun a b -> fin (Int64.logor (vi a) (vi b))
-  | Xor -> fun a b -> fin (Int64.logxor (vi a) (vi b))
+      fun fr ->
+        let x = rd_i fr a in
+        let y = rd_i fr b in
+        if y = 0L then failwith "Interp: division by zero";
+        wr_w is32 fr d (Int64.rem x y);
+        -1
+  | And ->
+      fun fr ->
+        wr_w is32 fr d (Int64.logand (rd_i fr a) (rd_i fr b));
+        -1
+  | Or ->
+      fun fr ->
+        wr_w is32 fr d (Int64.logor (rd_i fr a) (rd_i fr b));
+        -1
+  | Xor ->
+      fun fr ->
+        wr_w is32 fr d (Int64.logxor (rd_i fr a) (rd_i fr b));
+        -1
   | Shl ->
-      fun a b ->
-        let a = vi a in
-        fin (Int64.shift_left a (Int64.to_int (vi b) land smask))
+      fun fr ->
+        let x = rd_i fr a in
+        wr_w is32 fr d (Int64.shift_left x (Int64.to_int (rd_i fr b) land smask));
+        -1
   | Lshr ->
-      if is32 then fun a b ->
-        let a = vi a in
-        fin
-          (Int64.shift_right_logical (Int64.logand a 0xFFFFFFFFL)
-             (Int64.to_int (vi b) land 31))
-      else fun a b ->
-        let a = vi a in
-        fin (Int64.shift_right_logical a (Int64.to_int (vi b) land 63))
+      if is32 then fun fr ->
+        let x = rd_i fr a in
+        wr_w true fr d
+          (Int64.shift_right_logical (Int64.logand x 0xFFFFFFFFL)
+             (Int64.to_int (rd_i fr b) land 31));
+        -1
+      else fun fr ->
+        let x = rd_i fr a in
+        wr_i fr d (Int64.shift_right_logical x (Int64.to_int (rd_i fr b) land 63));
+        -1
   | Ashr ->
-      fun a b ->
-        let a = vi a in
-        fin (Int64.shift_right a (Int64.to_int (vi b) land smask))
+      fun fr ->
+        let x = rd_i fr a in
+        wr_w is32 fr d (Int64.shift_right x (Int64.to_int (rd_i fr b) land smask));
+        -1
 
-let compile_fbinop (op : Ir.fbinop) (ty : Ir.ty) : Ir.value -> Ir.value -> Ir.value =
+let compile_fbinop (op : Ir.fbinop) (ty : Ir.ty) d a b : frame -> int =
   let is32 = match ty with Ir.F32 -> true | Ir.I32 | Ir.I64 | Ir.F64 -> false in
-  let[@inline] fin r = Ir.VF (if is32 then round_f32 r else r) in
   match op with
-  | Fadd -> fun a b -> fin (vf a +. vf b)
-  | Fsub -> fun a b -> fin (vf a -. vf b)
-  | Fmul -> fun a b -> fin (vf a *. vf b)
-  | Fdiv -> fun a b -> fin (vf a /. vf b)
+  | Fadd ->
+      fun fr ->
+        wr_r is32 fr d (rd_f fr a +. rd_f fr b);
+        -1
+  | Fsub ->
+      fun fr ->
+        wr_r is32 fr d (rd_f fr a -. rd_f fr b);
+        -1
+  | Fmul ->
+      fun fr ->
+        wr_r is32 fr d (rd_f fr a *. rd_f fr b);
+        -1
+  | Fdiv ->
+      fun fr ->
+        wr_r is32 fr d (rd_f fr a /. rd_f fr b);
+        -1
 
-let compile_funop (op : Ir.funop) (ty : Ir.ty) : Ir.value -> Ir.value =
+let compile_funop (op : Ir.funop) (ty : Ir.ty) d a : frame -> int =
   let is32 = match ty with Ir.F32 -> true | Ir.I32 | Ir.I64 | Ir.F64 -> false in
-  let[@inline] fin r = Ir.VF (if is32 then round_f32 r else r) in
   match op with
-  | Fneg -> fun a -> fin (-.vf a)
-  | Fabs -> fun a -> fin (abs_float (vf a))
-  | Fsqrt -> fun a -> fin (sqrt (vf a))
-  | Fsin -> fun a -> fin (sin (vf a))
-  | Fcos -> fun a -> fin (cos (vf a))
-  | Fexp -> fun a -> fin (exp (vf a))
-  | Flog -> fun a -> fin (log (vf a))
-  | Ffloor -> fun a -> fin (floor (vf a))
-  | Fround -> fun a -> fin (Float.round (vf a))
+  | Fneg ->
+      fun fr ->
+        wr_r is32 fr d (-.rd_f fr a);
+        -1
+  | Fabs ->
+      fun fr ->
+        wr_r is32 fr d (abs_float (rd_f fr a));
+        -1
+  | Fsqrt ->
+      fun fr ->
+        wr_r is32 fr d (sqrt (rd_f fr a));
+        -1
+  | Fsin ->
+      fun fr ->
+        wr_r is32 fr d (sin (rd_f fr a));
+        -1
+  | Fcos ->
+      fun fr ->
+        wr_r is32 fr d (cos (rd_f fr a));
+        -1
+  | Fexp ->
+      fun fr ->
+        wr_r is32 fr d (exp (rd_f fr a));
+        -1
+  | Flog ->
+      fun fr ->
+        wr_r is32 fr d (log (rd_f fr a));
+        -1
+  | Ffloor ->
+      fun fr ->
+        wr_r is32 fr d (floor (rd_f fr a));
+        -1
+  | Fround ->
+      fun fr ->
+        wr_r is32 fr d (Float.round (rd_f fr a));
+        -1
 
-(* Shared result cells: structurally identical to the fresh boxes the
-   interpreter allocates, so sharing is invisible to every comparison. *)
-let vtrue = Ir.VI 1L
-let vfalse = Ir.VI 0L
+let[@inline] wr_bool fr d c = wr_i fr d (if c then 1L else 0L)
 
-let compile_icmp (op : Ir.icmp) : Ir.value -> Ir.value -> Ir.value =
+let compile_icmp (op : Ir.icmp) d a b : frame -> int =
   match op with
-  | Ieq -> fun a b -> if vi a = vi b then vtrue else vfalse
-  | Ine -> fun a b -> if vi a <> vi b then vtrue else vfalse
-  | Ilt -> fun a b -> if vi a < vi b then vtrue else vfalse
-  | Ile -> fun a b -> if vi a <= vi b then vtrue else vfalse
-  | Igt -> fun a b -> if vi a > vi b then vtrue else vfalse
-  | Ige -> fun a b -> if vi a >= vi b then vtrue else vfalse
+  | Ieq ->
+      fun fr ->
+        wr_bool fr d (rd_i fr a = rd_i fr b);
+        -1
+  | Ine ->
+      fun fr ->
+        wr_bool fr d (rd_i fr a <> rd_i fr b);
+        -1
+  | Ilt ->
+      fun fr ->
+        wr_bool fr d (rd_i fr a < rd_i fr b);
+        -1
+  | Ile ->
+      fun fr ->
+        wr_bool fr d (rd_i fr a <= rd_i fr b);
+        -1
+  | Igt ->
+      fun fr ->
+        wr_bool fr d (rd_i fr a > rd_i fr b);
+        -1
+  | Ige ->
+      fun fr ->
+        wr_bool fr d (rd_i fr a >= rd_i fr b);
+        -1
 
-let compile_fcmp (op : Ir.fcmp) : Ir.value -> Ir.value -> Ir.value =
+let compile_fcmp (op : Ir.fcmp) d a b : frame -> int =
   match op with
-  | Feq -> fun a b -> if vf a = vf b then vtrue else vfalse
-  | Fne -> fun a b -> if vf a <> vf b then vtrue else vfalse
-  | Flt -> fun a b -> if vf a < vf b then vtrue else vfalse
-  | Fle -> fun a b -> if vf a <= vf b then vtrue else vfalse
-  | Fgt -> fun a b -> if vf a > vf b then vtrue else vfalse
-  | Fge -> fun a b -> if vf a >= vf b then vtrue else vfalse
+  | Feq ->
+      fun fr ->
+        wr_bool fr d (rd_f fr a = rd_f fr b);
+        -1
+  | Fne ->
+      fun fr ->
+        wr_bool fr d (rd_f fr a <> rd_f fr b);
+        -1
+  | Flt ->
+      fun fr ->
+        wr_bool fr d (rd_f fr a < rd_f fr b);
+        -1
+  | Fle ->
+      fun fr ->
+        wr_bool fr d (rd_f fr a <= rd_f fr b);
+        -1
+  | Fgt ->
+      fun fr ->
+        wr_bool fr d (rd_f fr a > rd_f fr b);
+        -1
+  | Fge ->
+      fun fr ->
+        wr_bool fr d (rd_f fr a >= rd_f fr b);
+        -1
 
-let compile_cast (op : Ir.cast) : Ir.value -> Ir.value =
+let compile_cast (op : Ir.cast) d s : frame -> int =
   match op with
-  | I_to_f -> fun v -> Ir.VF (Int64.to_float (vi v))
-  | F_to_i -> fun v -> Ir.VI (Int64.of_float (vf v))
-  | F32_of_f64 -> fun v -> Ir.VF (round_f32 (vf v))
-  | F64_of_f32 -> fun v -> Ir.VF (vf v)
+  | I_to_f ->
+      fun fr ->
+        wr_f fr d (Int64.to_float (rd_i fr s));
+        -1
+  | F_to_i ->
+      fun fr ->
+        wr_i fr d (Int64.of_float (rd_f fr s));
+        -1
+  | F32_of_f64 ->
+      fun fr ->
+        wr_f fr d (round_f32 (rd_f fr s));
+        -1
+  | F64_of_f32 ->
+      fun fr ->
+        wr_f fr d (rd_f fr s);
+        -1
   | Bits_of_f32 ->
-      fun v -> Ir.VI (sext32 (Int64.of_int32 (Int32.bits_of_float (vf v))))
-  | F32_of_bits -> fun v -> Ir.VF (Int32.float_of_bits (Int64.to_int32 (vi v)))
-  | Bits_of_f64 -> fun v -> Ir.VI (Int64.bits_of_float (vf v))
-  | F64_of_bits -> fun v -> Ir.VF (Int64.float_of_bits (vi v))
-  | Sext_32_64 -> fun v -> Ir.VI (sext32 (vi v))
-  | Trunc_64_32 -> fun v -> Ir.VI (sext32 (vi v))
+      fun fr ->
+        wr_i fr d (sext32 (Int64.of_int32 (Int32.bits_of_float (rd_f fr s))));
+        -1
+  | F32_of_bits ->
+      fun fr ->
+        wr_f fr d (Int32.float_of_bits (Int64.to_int32 (rd_i fr s)));
+        -1
+  | Bits_of_f64 ->
+      fun fr ->
+        wr_i fr d (Int64.bits_of_float (rd_f fr s));
+        -1
+  | F64_of_bits ->
+      fun fr ->
+        wr_f fr d (Int64.float_of_bits (rd_i fr s));
+        -1
+  | Sext_32_64 | Trunc_64_32 ->
+      fun fr ->
+        wr_i fr d (sext32 (rd_i fr s));
+        -1
+
+(* Loads and stores go straight to [Memory]'s backing buffer, in
+   [Memory.load]/[Memory.store]'s order: address, growth, bounds. *)
+let compile_load mem (ty : Ir.ty) d base offset : frame -> int =
+  match ty with
+  | I32 ->
+      fun fr ->
+        let a = Int64.to_int (rd_i fr base) + offset in
+        wr_i fr d (Int64.of_int32 (Bytes.get_int32_le (Memory.backing mem (a + 4)) a));
+        a
+  | I64 ->
+      fun fr ->
+        let a = Int64.to_int (rd_i fr base) + offset in
+        wr_i fr d (Bytes.get_int64_le (Memory.backing mem (a + 8)) a);
+        a
+  | F32 ->
+      fun fr ->
+        let a = Int64.to_int (rd_i fr base) + offset in
+        wr_f fr d (Int32.float_of_bits (Bytes.get_int32_le (Memory.backing mem (a + 4)) a));
+        a
+  | F64 ->
+      fun fr ->
+        let a = Int64.to_int (rd_i fr base) + offset in
+        wr_f fr d (Int64.float_of_bits (Bytes.get_int64_le (Memory.backing mem (a + 8)) a));
+        a
+
+(* A value of the wrong kind is handed to [Memory.store], which raises its
+   own kind-mismatch error before touching memory. *)
+let[@inline] check_store_kind mem ty fr s a kind =
+  if Bytes.unsafe_get fr.kd s <> kind then Memory.store mem ty a (read_value fr s)
+
+let compile_store mem (ty : Ir.ty) src base offset : frame -> int =
+  match ty with
+  | I32 ->
+      fun fr ->
+        let a = Int64.to_int (rd_i fr base) + offset in
+        check_store_kind mem ty fr src a int_kind;
+        Bytes.set_int32_le (Memory.backing mem (a + 4)) a
+          (Int64.to_int32 (get64u fr.iv (src lsl 3)));
+        a
+  | I64 ->
+      fun fr ->
+        let a = Int64.to_int (rd_i fr base) + offset in
+        check_store_kind mem ty fr src a int_kind;
+        Bytes.set_int64_le (Memory.backing mem (a + 8)) a (get64u fr.iv (src lsl 3));
+        a
+  | F32 ->
+      fun fr ->
+        let a = Int64.to_int (rd_i fr base) + offset in
+        check_store_kind mem ty fr src a float_kind;
+        Bytes.set_int32_le (Memory.backing mem (a + 4)) a
+          (Int32.bits_of_float (Array.unsafe_get fr.fv src));
+        a
+  | F64 ->
+      fun fr ->
+        let a = Int64.to_int (rd_i fr base) + offset in
+        check_store_kind mem ty fr src a float_kind;
+        Bytes.set_int64_le (Memory.backing mem (a + 8)) a
+          (Int64.bits_of_float (Array.unsafe_get fr.fv src));
+        a
 
 let[@inline] bump t =
   t.nsteps <- t.nsteps + 1;
   if t.nsteps > t.max_steps then failwith "Interp: step limit exceeded"
 
-let find_ker t callee =
-  match t.kers with
-  | None -> assert false
-  | Some kers -> (
-      match Hashtbl.find_opt kers callee with
-      | Some k -> k
-      | None -> failwith ("Interp: unknown function " ^ callee))
-
-let acquire_regs (k : ker) =
+let acquire (k : ker) =
   let d = k.k_depth in
   k.k_depth <- d + 1;
   if d < k.k_pool_len then begin
-    let regs = k.k_pool.(d) in
-    Array.fill regs 0 (Array.length regs) vzero;
-    regs
+    let fr = k.k_pool.(d) in
+    (* registers back to [VI 0L]; no instruction writes a constant slot *)
+    let n = k.k_fn.nregs in
+    Bytes.unsafe_fill fr.iv 0 (n lsl 3) '\000';
+    Bytes.unsafe_fill fr.kd 0 n int_kind;
+    fr
   end
   else begin
     (* recursion depth grows one frame at a time, so [d = k_pool_len] *)
-    let regs = Array.make k.k_fn.nregs vzero in
+    let tm = k.k_tmpl in
+    let fr = { iv = Bytes.copy tm.iv; kd = Bytes.copy tm.kd; fv = Array.copy tm.fv } in
     if d >= Array.length k.k_pool then begin
-      let grown = Array.make (max 4 (2 * (d + 1))) [||] in
+      let grown = Array.make (Int.max 4 (2 * (d + 1))) fr in
       Array.blit k.k_pool 0 grown 0 (Array.length k.k_pool);
       k.k_pool <- grown
     end;
-    k.k_pool.(d) <- regs;
+    k.k_pool.(d) <- fr;
     k.k_pool_len <- d + 1;
-    regs
+    fr
   end
 
-let exec_ker t (k : ker) (args : Ir.value array) =
-  let regs = acquire_regs k in
-  Array.iteri (fun i (r, _) -> regs.(r) <- args.(i)) k.k_fn.params;
+(* Runs a function on a frame [acquire]d for it. *)
+let enter t (k : ker) fr =
   let body = k.k_body in
   (match t.hooks with
   | None ->
       let b = ref 0 in
       while !b >= 0 do
-        b := body.(!b) regs
+        b := body.(!b) fr
       done
   | Some h ->
       h.on_enter k.k_fn.fname;
       let b = ref 0 in
       while !b >= 0 do
-        b := body.(!b) regs
+        b := body.(!b) fr
       done;
       h.on_leave k.k_fn.fname);
   k.k_depth <- k.k_depth - 1
@@ -498,54 +752,50 @@ let exec_ker t (k : ker) (args : Ir.value array) =
 (* Memoization hook presence is resolved at compile time: a memo-less
    context compiles [Reg_crc]/[Update]/[Invalidate] down to a step-count
    bump. Semantics mirror [eval_memo] arm for arm. *)
-let compile_memo t (m : Ir.memo_instr) : Ir.value array -> int =
+let compile_memo t lay (m : Ir.memo_instr) : frame -> int =
   match m with
   | Ld_crc { dst; ty; base; offset; lut; trunc } -> (
-      let gb = getter base in
+      let dst = reg lay dst in
+      let load = compile_load t.mem ty dst (slot lay base) offset in
       match t.memo with
       | Some mh ->
-          fun regs ->
-            let a = Int64.to_int (vi (gb regs)) + offset in
-            let v = Memory.load t.mem ty a in
-            regs.(dst) <- v;
-            mh.send ~lut ~ty ~trunc v;
+          fun fr ->
+            let a = load fr in
+            mh.send ~lut ~ty ~trunc (read_value fr dst);
             a
-      | None ->
-          fun regs ->
-            let a = Int64.to_int (vi (gb regs)) + offset in
-            regs.(dst) <- Memory.load t.mem ty a;
-            a)
+      | None -> load)
   | Reg_crc { src; ty; lut; trunc } -> (
       match t.memo with
       | Some mh ->
-          let g = getter src in
-          fun regs ->
-            mh.send ~lut ~ty ~trunc (g regs);
+          let s = slot lay src in
+          fun fr ->
+            mh.send ~lut ~ty ~trunc (read_value fr s);
             -1
       | None -> fun _ -> -1)
   | Lookup { dst; lut } -> (
+      let dst = reg lay dst in
       match t.memo with
       | Some mh ->
-          fun regs ->
+          fun fr ->
             (match mh.lookup ~lut with
             | Some payload ->
                 t.memo_flag <- true;
-                regs.(dst) <- VI payload
+                wr_i fr dst payload
             | None ->
                 t.memo_flag <- false;
-                regs.(dst) <- VI 0L);
+                wr_i fr dst 0L);
             -1
       | None ->
-          fun regs ->
+          fun fr ->
             t.memo_flag <- false;
-            regs.(dst) <- VI 0L;
+            wr_i fr dst 0L;
             -1)
   | Update { src; lut } -> (
       match t.memo with
       | Some mh ->
-          let g = getter src in
-          fun regs ->
-            mh.update ~lut (vi (g regs));
+          let s = slot lay src in
+          fun fr ->
+            mh.update ~lut (rd_i fr s);
             -1
       | None -> fun _ -> -1)
   | Invalidate { lut } -> (
@@ -558,174 +808,180 @@ let compile_memo t (m : Ir.memo_instr) : Ir.value array -> int =
 
 (* Compile one non-call instruction to a closure returning the effective
    address (-1 when not a memory access) — the compiled twin of
-   [exec_simple], with operands and opcodes resolved once. *)
-let compile_ex t (instr : Ir.instr) : Ir.value array -> int =
+   [exec_simple].
+   @raise Out_of_bounds if it names a register outside [0, nregs). *)
+let compile_ex t lay (instr : Ir.instr) : frame -> int =
   match instr with
-  | Const { dst; value; _ } ->
-      fun regs ->
-        regs.(dst) <- value;
+  | Const { dst; value = VI x; _ } ->
+      let d = reg lay dst in
+      fun fr ->
+        wr_i fr d x;
+        -1
+  | Const { dst; value = VF x; _ } ->
+      let d = reg lay dst in
+      fun fr ->
+        wr_f fr d x;
         -1
   | Mov { dst; src } ->
-      let g = getter src in
-      fun regs ->
-        regs.(dst) <- g regs;
+      let d = reg lay dst and s = slot lay src in
+      fun fr ->
+        copy_slot fr s fr d;
         -1
-  | Binop { op; ty; dst; a; b } ->
-      let ga = getter a and gb = getter b in
-      let f = compile_binop op ty in
-      fun regs ->
-        regs.(dst) <- f (ga regs) (gb regs);
-        -1
+  | Binop { op; ty; dst; a; b } -> compile_binop op ty (reg lay dst) (slot lay a) (slot lay b)
   | Fbinop { op; ty; dst; a; b } ->
-      let ga = getter a and gb = getter b in
-      let f = compile_fbinop op ty in
-      fun regs ->
-        regs.(dst) <- f (ga regs) (gb regs);
-        -1
-  | Funop { op; ty; dst; a } ->
-      let ga = getter a in
-      let f = compile_funop op ty in
-      fun regs ->
-        regs.(dst) <- f (ga regs);
-        -1
-  | Icmp { op; dst; a; b; _ } ->
-      let ga = getter a and gb = getter b in
-      let f = compile_icmp op in
-      fun regs ->
-        regs.(dst) <- f (ga regs) (gb regs);
-        -1
-  | Fcmp { op; dst; a; b; _ } ->
-      let ga = getter a and gb = getter b in
-      let f = compile_fcmp op in
-      fun regs ->
-        regs.(dst) <- f (ga regs) (gb regs);
-        -1
+      compile_fbinop op ty (reg lay dst) (slot lay a) (slot lay b)
+  | Funop { op; ty; dst; a } -> compile_funop op ty (reg lay dst) (slot lay a)
+  | Icmp { op; dst; a; b; _ } -> compile_icmp op (reg lay dst) (slot lay a) (slot lay b)
+  | Fcmp { op; dst; a; b; _ } -> compile_fcmp op (reg lay dst) (slot lay a) (slot lay b)
   | Select { dst; cond; if_true; if_false } ->
-      let gc = getter cond and gt = getter if_true and gf = getter if_false in
-      fun regs ->
-        regs.(dst) <- (if vi (gc regs) <> 0L then gt regs else gf regs);
+      let d = reg lay dst in
+      let c = slot lay cond in
+      let x = slot lay if_true in
+      let y = slot lay if_false in
+      fun fr ->
+        copy_slot fr (if rd_i fr c <> 0L then x else y) fr d;
         -1
-  | Cast { op; dst; src } ->
-      let g = getter src in
-      let f = compile_cast op in
-      fun regs ->
-        regs.(dst) <- f (g regs);
-        -1
+  | Cast { op; dst; src } -> compile_cast op (reg lay dst) (slot lay src)
   | Load { ty; dst; base; offset } ->
-      let gb = getter base in
-      fun regs ->
-        let a = Int64.to_int (vi (gb regs)) + offset in
-        regs.(dst) <- Memory.load t.mem ty a;
-        a
+      compile_load t.mem ty (reg lay dst) (slot lay base) offset
   | Store { ty; src; base; offset } ->
-      let gb = getter base and gs = getter src in
-      fun regs ->
-        let a = Int64.to_int (vi (gb regs)) + offset in
-        Memory.store t.mem ty a (gs regs);
-        a
-  | Memo m -> compile_memo t m
+      compile_store t.mem ty (slot lay src) (slot lay base) offset
+  | Memo m -> compile_memo t lay m
   | Call _ -> assert false
 
-(* [hk] is the pre-compiled hook site for this static instruction, or None
-   on hook-free contexts. Calls fire their hook before the callee runs
-   (issue order), like the interpreter loop. *)
-let compile_instr t (hk : (int -> unit) option) (instr : Ir.instr) :
-    Ir.value array -> unit =
+(* An instruction naming a register outside [0, nregs) runs on a boxed
+   copy of the registers through the walker's [exec_simple]: it fails where
+   the walker fails (and succeeds where it does, e.g. on an untaken
+   [Select] arm). Well-formed programs never take this path. *)
+let compile_boxed t nregs instr : frame -> int =
+ fun fr ->
+  let regs = Array.init nregs (read_value fr) in
+  let a = exec_simple t regs instr in
+  Array.iteri (write_value fr) regs;
+  a
+
+let find_ker t callee =
+  match t.kers with None -> assert false | Some kers -> Hashtbl.find_opt kers callee
+
+(* A call copies its arguments slot to slot into a frame of the callee and
+   its results back from the callee's [k_ret]; the callee is resolved here,
+   and its hook site fires before the callee runs (issue order). Failures
+   keep the order of a boxed call: unknown callee, then argument registers,
+   then (after the callee returns) result registers. *)
+let compile_call t lay hook ~callee ~(dsts : Ir.reg array) ~(args : Ir.operand array)
+    (rest : frame -> int) : frame -> int =
+  match find_ker t callee with
+  | None ->
+      fun _ ->
+        bump t;
+        hook (-1);
+        failwith ("Interp: unknown function " ^ callee)
+  | Some k -> (
+      let params = Array.map fst k.k_fn.params in
+      let nparams = Array.length params in
+      match
+        if
+          Array.length args < nparams
+          || not (Array.for_all (fun r -> 0 <= r && r < k.k_fn.nregs) params)
+        then raise Out_of_bounds;
+        Array.map (slot lay) args
+      with
+      | exception Out_of_bounds ->
+          fun _ ->
+            bump t;
+            hook (-1);
+            invalid_arg "index out of bounds"
+      | srcs ->
+          let ndsts = Array.length dsts in
+          let dsts_ok =
+            Array.for_all (in_range lay) dsts && ndsts <= Array.length k.k_fn.ret_tys
+          in
+          fun fr ->
+            bump t;
+            hook (-1);
+            let callee_fr = acquire k in
+            for i = 0 to nparams - 1 do
+              copy_slot fr (Array.unsafe_get srcs i) callee_fr (Array.unsafe_get params i)
+            done;
+            enter t k callee_fr;
+            if not dsts_ok then invalid_arg "index out of bounds";
+            let ret = k.k_ret in
+            for i = 0 to ndsts - 1 do
+              copy_slot ret i fr (Array.unsafe_get dsts i)
+            done;
+            rest fr)
+
+(* One instruction fused with the rest of its block: [hk] is the
+   pre-compiled hook site, or None on hook-free contexts. *)
+let compile_instr t lay hk (instr : Ir.instr) (rest : frame -> int) : frame -> int =
   match instr with
-  | Ir.Call { callee; dsts; args } ->
-      let gargs = Array.map getter args in
-      let nargs = Array.length gargs in
-      (* per-site argument buffer: safe under recursion because [exec_ker]
-         copies the arguments into the callee frame before executing *)
-      let args_buf = Array.make nargs vzero in
-      let kref = ref None in
-      let do_call regs =
-        let k =
-          match !kref with
-          | Some k -> k
-          | None ->
-              let k = find_ker t callee in
-              kref := Some k;
-              k
-        in
-        for i = 0 to nargs - 1 do
-          args_buf.(i) <- (Array.unsafe_get gargs i) regs
-        done;
-        exec_ker t k args_buf;
-        let ret = k.k_ret in
-        Array.iteri (fun i dst -> regs.(dst) <- ret.(i)) dsts
-      in
-      (match hk with
-      | None ->
-          fun regs ->
-            bump t;
-            do_call regs
-      | Some h ->
-          fun regs ->
-            bump t;
-            h (-1);
-            do_call regs)
+  | Call { callee; dsts; args } ->
+      let hook = match hk with None -> ignore | Some h -> h in
+      compile_call t lay hook ~callee ~dsts ~args rest
   | _ -> (
-      let ex = compile_ex t instr in
+      let ex =
+        try compile_ex t lay instr with Out_of_bounds -> compile_boxed t lay.nregs instr
+      in
       match hk with
       | None ->
-          fun regs ->
+          fun fr ->
             bump t;
-            ignore (ex regs : int)
+            ignore (ex fr : int);
+            rest fr
       | Some h ->
-          fun regs ->
+          fun fr ->
             bump t;
-            let a = ex regs in
-            h a)
+            h (ex fr);
+            rest fr)
 
-let compile_block t (k : ker) fname bidx (cb : cblock) : Ir.value array -> int =
-  let steps =
+let compile_term t lay (k : ker) (rt : rterm) : frame -> int =
+  let out_of_range _ = invalid_arg "index out of bounds" in
+  match rt with
+  | Rjmp b -> fun _ -> b
+  | Rbr { cond; if_true; if_false } -> (
+      match slot lay cond with
+      | exception Out_of_bounds -> out_of_range
+      | c -> fun fr -> if rd_i fr c <> 0L then if_true else if_false)
+  | Rbr_memo { on_hit; on_miss } -> fun _ -> if t.memo_flag then on_hit else on_miss
+  | Rret ops -> (
+      match
+        if Array.length ops > Array.length k.k_fn.ret_tys then raise Out_of_bounds;
+        Array.map (slot lay) ops
+      with
+      | exception Out_of_bounds -> out_of_range
+      | srcs ->
+          let ret = k.k_ret in
+          fun fr ->
+            for i = 0 to Array.length srcs - 1 do
+              copy_slot fr (Array.unsafe_get srcs i) ret i
+            done;
+            -1)
+
+let compile_block t (k : ker) lay fname bidx (cb : cblock) : frame -> int =
+  let hks =
     Array.mapi
       (fun iidx instr ->
-        let hk =
-          match t.hooks with
-          | None -> None
-          | Some h -> Some (h.exec_site fname bidx iidx instr)
-        in
-        compile_instr t hk instr)
+        match t.hooks with None -> None | Some h -> Some (h.exec_site fname bidx iidx instr))
       cb.instrs
   in
-  let next : Ir.value array -> int =
-    match cb.rterm with
-    | Rjmp b -> fun _ -> b
-    | Rbr { cond; if_true; if_false } ->
-        let g = getter cond in
-        fun regs -> if vi (g regs) <> 0L then if_true else if_false
-    | Rbr_memo { on_hit; on_miss } ->
-        fun _ -> if t.memo_flag then on_hit else on_miss
-    | Rret ops ->
-        let gs = Array.map getter ops in
-        let nret = Array.length gs in
-        let ret = k.k_ret in
-        fun regs ->
-          for i = 0 to nret - 1 do
-            ret.(i) <- (Array.unsafe_get gs i) regs
-          done;
-          -1
-  in
-  (* Chain the block into one closure: each step tail-calls the rest, so
-     executing a block is a single indirect call with no loop counter and
-     no per-instruction array load. *)
-  let tail : Ir.value array -> int =
+  let next = compile_term t lay k cb.rterm in
+  let tail : frame -> int =
     match t.hooks with
     | None -> next
     | Some h ->
         let ts = h.term_site fname bidx cb.term in
-        fun regs ->
+        fun fr ->
           ts ();
-          next regs
+          next fr
   in
-  Array.fold_right
-    (fun step rest ->
-      fun regs ->
-        step regs;
-        rest regs)
-    steps tail
+  (* Chain the block into one closure: each instruction tail-calls the
+     rest, so executing a block is a single indirect call with no loop
+     counter and no per-instruction array load. *)
+  let chain = ref tail in
+  for iidx = Array.length cb.instrs - 1 downto 0 do
+    chain := compile_instr t lay hks.(iidx) cb.instrs.(iidx) !chain
+  done;
+  !chain
 
 let compile_all t =
   let kers = Hashtbl.create 16 in
@@ -735,7 +991,8 @@ let compile_all t =
         {
           k_fn = cf.fn;
           k_body = Array.make (Array.length cf.cblocks) (fun _ -> -1);
-          k_ret = Array.make (Array.length cf.fn.ret_tys) vzero;
+          k_ret = make_frame (Array.length cf.fn.ret_tys);
+          k_tmpl = no_frame;
           k_pool = [||];
           k_pool_len = 0;
           k_depth = 0;
@@ -743,13 +1000,16 @@ let compile_all t =
     t.funcs;
   t.kers <- Some kers;
   (* bodies are filled once every ker exists, so call sites resolve callees
-     regardless of program order *)
+     regardless of program order; the frame template is complete once every
+     block has handed out its constant slots *)
   Hashtbl.iter
     (fun name (cf : cfunc) ->
       let k = Hashtbl.find kers name in
+      let lay = { nregs = cf.fn.nregs; nslots = cf.fn.nregs; consts = [] } in
       Array.iteri
-        (fun bidx cb -> k.k_body.(bidx) <- compile_block t k cf.fn.fname bidx cb)
-        cf.cblocks)
+        (fun bidx cb -> k.k_body.(bidx) <- compile_block t k lay cf.fn.fname bidx cb)
+        cf.cblocks;
+      k.k_tmpl <- template lay)
     t.funcs
 
 (* ------------------------------------------------------------------ *)
@@ -840,8 +1100,14 @@ let run t fname args =
           (* an aborted previous run (step limit, crash injection) may have
              left arena depths dirty *)
           Hashtbl.iter (fun _ k -> k.k_depth <- 0) kers;
-          exec_ker t k args;
-          Array.copy k.k_ret)
+          let fr = acquire k in
+          Array.iteri
+            (fun i (r, _) ->
+              if r < 0 || r >= k.k_fn.nregs then invalid_arg "index out of bounds";
+              write_value fr r args.(i))
+            k.k_fn.params;
+          enter t k fr;
+          Array.init (Array.length k.k_fn.ret_tys) (read_value k.k_ret))
 
 let create ?memo ?hooks ?(max_steps = 2_000_000_000) ?(backend = `Compiled)
     ~program ~mem () =

@@ -12,7 +12,17 @@
       everything static about an instruction is resolved once, at
       {!create}, and nothing is allocated per dynamic instruction;
     - the interpreter loop is specialized on hook presence at function-call
-      granularity, so a hook-free run has no per-instruction hook dispatch. *)
+      granularity, so a hook-free run has no per-instruction hook dispatch;
+    - the [`Compiled] backend keeps registers unboxed: a frame is an
+      integer plane and a kind plane (a [Bytes] each) plus a float plane,
+      and each immediate operand has a constant slot after the
+      registers. An instruction reads and writes slots directly, calls and
+      returns copy slot to slot, and frames come from a per-function arena,
+      so a steady-state step allocates nothing. The one value boxed per
+      execution is the [Ir.value] a [reg_crc]/[ld_crc] hands to
+      {!memo_hooks.send}; {!run} converts its arguments and results once.
+      Kinds stay dynamic, as in the walker: a typed read of the other kind
+      fails with the walker's message. *)
 
 type memo_hooks = {
   send : lut:int -> ty:Ir.ty -> trunc:int -> Ir.value -> unit;

@@ -32,3 +32,13 @@ val load_i32 : t -> int -> int32
 val store_i32 : t -> int -> int32 -> unit
 val load_i64 : t -> int -> int64
 val store_i64 : t -> int -> int64 -> unit
+
+val backing : t -> int -> Bytes.t
+(** [backing t upto] grows [t] to cover addresses [0, upto), exactly as a
+    load or store ending at [upto] would, and returns the buffer holding
+    its bytes (little-endian, address = offset). The buffer is valid until
+    the next growth. This is the unboxed access path of the interpreter's
+    compiled backend: reading an [int64] or [float] through it allocates
+    nothing, where {!load_i64} and friends return boxed values across the
+    module boundary.
+    @raise Invalid_argument past the size limit, like any access. *)

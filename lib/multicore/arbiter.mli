@@ -21,7 +21,9 @@ val record : tag:int -> t -> core:int -> set:int -> at:int -> unit
     cycle [at]. [tag] rides along unchanged — the co-run passes the logical
     LUT id so settled stalls can be attributed back to a memoization
     region; it never affects arbitration (ties break on cycle, core, log
-    order before the tag is reachable). *)
+    order before the tag is reachable). The log is flat integer columns
+    (bank, cycle, core, tag; the log order is the index) grown by
+    doubling, so recording allocates nothing per access. *)
 
 type settlement = {
   accesses : int;  (** everything recorded *)
@@ -34,7 +36,11 @@ type settlement = {
 }
 
 val settle : t -> ncores:int -> settlement
-(** Deterministic, order-independent settlement of the whole log. *)
+(** Deterministic, order-independent settlement of the whole log. Bins are
+    formed by sorting the log by (bank, cycle, core, log order) with a
+    stable radix sort, so a bin is a contiguous run. The log is left
+    untouched: settling again, or after more records, settles the whole
+    log again. *)
 
 val banks : t -> int
 val ports : t -> int

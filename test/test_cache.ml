@@ -118,6 +118,44 @@ let test_carve_l2_limit () =
        false
      with Invalid_argument _ -> true)
 
+(* The read-latency histogram counts service levels and is folded in at
+   flush: exact buckets, total and sum, nothing added by a second flush,
+   and no allocation per read. *)
+let test_read_latency_histogram () =
+  let module R = Axmemo_telemetry.Registry in
+  let reg = R.create () in
+  let h =
+    H.create ~metrics:reg { H.hpi_default with l1_size = 128; l1_ways = 2; l2_size = 64 * 1024 }
+  in
+  let cfg = H.config h in
+  (* three DRAM reads fill L1's one set, so addr 0 comes back from L2 and
+     prefetches line 128 into L1 *)
+  let lats = List.map (fun addr -> H.read h ~addr) [ 0; 8192; 16384; 0; 128 ] in
+  let l1 = cfg.l1_latency and l2 = cfg.l1_latency + cfg.l2_latency in
+  let dram = l2 + cfg.dram_latency in
+  Alcotest.(check (list int)) "service levels" [ dram; dram; dram; l2; l1 ] lats;
+  let hist () =
+    match List.assoc "cache.read_latency" (R.snapshot reg) with
+    | R.Histogram d -> d
+    | _ -> Alcotest.fail "cache.read_latency is not a histogram"
+  in
+  Alcotest.(check int) "nothing before the flush" 0 (hist ()).total;
+  H.flush_metrics h;
+  let d = hist () in
+  Alcotest.(check (array int)) "counts" [| 1; 1; 3; 0 |] d.counts;
+  Alcotest.(check int) "total" 5 d.total;
+  Alcotest.(check (float 0.0)) "sum" (float_of_int (List.fold_left ( + ) 0 lats)) d.sum;
+  H.flush_metrics h;
+  Alcotest.(check bool) "a second flush adds nothing" true (hist () = d);
+  let w0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    ignore (H.read h ~addr:((i * 64) land 0xFFFF))
+  done;
+  let per_read = (Gc.minor_words () -. w0) /. 10_000.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per read < 1" per_read)
+    true (per_read < 1.0)
+
 (* --- properties --- *)
 
 let prop_accesses_equal_hits_plus_misses =
@@ -178,6 +216,7 @@ let () =
           Alcotest.test_case "write" `Quick test_hierarchy_write;
           Alcotest.test_case "carve l2" `Quick test_carve_l2;
           Alcotest.test_case "carve limit" `Quick test_carve_l2_limit;
+          Alcotest.test_case "read-latency histogram" `Quick test_read_latency_histogram;
         ] );
       ("properties", qsuite);
     ]

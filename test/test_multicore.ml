@@ -58,6 +58,85 @@ let test_arbiter_ports () =
   Alcotest.(check int) "contended" 1 s.Arbiter.contended;
   Alcotest.(check (array int)) "stalls" [| 0; 0; 8 |] s.Arbiter.stall_cycles
 
+(* The list-of-bins settlement the flat log replaced: every (bank, slot)
+   bin keeps its (at, core, seq, tag) accesses, sorted per bin at settle.
+   The flat log must settle exactly like it. *)
+let reference_settle ~banks ~ports ~window ~ncores log =
+  let bins = Hashtbl.create 64 in
+  List.iteri
+    (fun seq (core, set, at, tag) ->
+      let key = (set mod banks, at / window) in
+      let cell =
+        match Hashtbl.find_opt bins key with
+        | Some r -> r
+        | None ->
+            let r = ref [] in
+            Hashtbl.add bins key r;
+            r
+      in
+      cell := (at, core, seq, tag) :: !cell)
+    log;
+  let stall = Array.make ncores 0 and retried = Array.make ncores 0 in
+  let contended = ref 0 in
+  let by_tag = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun _ cell ->
+      if List.length !cell > ports then
+        List.iteri
+          (fun rank (_, core, _, tag) ->
+            if rank >= ports then begin
+              stall.(core) <- stall.(core) + window;
+              retried.(core) <- retried.(core) + 1;
+              let k = (core, tag) in
+              Hashtbl.replace by_tag k
+                (Option.value ~default:0 (Hashtbl.find_opt by_tag k) + window);
+              incr contended
+            end)
+          (List.sort compare !cell))
+    bins;
+  {
+    Arbiter.accesses = List.length log;
+    contended = !contended;
+    stall_cycles = stall;
+    retried;
+    tag_stalls =
+      Hashtbl.fold (fun (c, tag) v acc -> (c, tag, v) :: acc) by_tag [] |> List.sort compare;
+  }
+
+(* Random logs. Cycles crowd into [0, 400] so bins collide; one access in
+   five lands 1500 cycles later and one in ten 2^60 later, so the sort
+   sees wide digits and a near-full int range. *)
+let prop_arbiter_matches_reference =
+  QCheck.Test.make ~name:"flat log settles like the list of bins" ~count:300 QCheck.int64
+    (fun seed ->
+      let rng = Axmemo_util.Rng.create seed in
+      let pick lo hi = lo + Axmemo_util.Rng.int rng (hi - lo + 1) in
+      let banks = pick 1 8 and ports = pick 1 3 and window = pick 1 20 in
+      let ncores = pick 1 4 in
+      let log =
+        List.init (pick 0 300) (fun _ ->
+            let far = match pick 0 9 with 0 -> 1 lsl 60 | 1 | 2 -> 1500 | _ -> 0 in
+            (pick 0 (ncores - 1), pick 0 63, far + pick 0 400, pick (-1) 3))
+      in
+      let a = Arbiter.create ~banks ~ports ~window in
+      List.iter (fun (core, set, at, tag) -> Arbiter.record ~tag a ~core ~set ~at) log;
+      let s = Arbiter.settle a ~ncores in
+      s = reference_settle ~banks ~ports ~window ~ncores log
+      && Arbiter.settle a ~ncores = s)
+
+let test_arbiter_record_allocation () =
+  let a = Arbiter.create ~banks:4 ~ports:1 ~window:13 in
+  let n = 100_000 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    Arbiter.record ~tag:(i land 3) a ~core:(i land 1) ~set:(i * 7) ~at:(3 * i)
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per record < 1" per_call)
+    true (per_call < 1.0);
+  Alcotest.(check int) "all recorded" n (Arbiter.settle a ~ncores:2).accesses
+
 (* --- scheduler --- *)
 
 let test_stream_round_robin () =
@@ -457,6 +536,8 @@ let () =
           Alcotest.test_case "contention" `Quick test_arbiter_contention;
           Alcotest.test_case "tie breaks" `Quick test_arbiter_tie_breaks;
           Alcotest.test_case "ports" `Quick test_arbiter_ports;
+          QCheck_alcotest.to_alcotest prop_arbiter_matches_reference;
+          Alcotest.test_case "record allocates nothing" `Quick test_arbiter_record_allocation;
         ] );
       ( "schedule",
         [
